@@ -17,12 +17,17 @@
 //! Peak/total heap use per row comes from the crate's counting global
 //! allocator ([`nassc_bench::alloc`]) — no external profiler. The summary
 //! carries `peak_alloc_mb` (max over rows) and `total_transpile_seconds` so
-//! CI can put hard bounds on both:
+//! CI can put hard bounds on both. It also carries `nassc_sabre_alloc_ratio`:
+//! NASSC's `total_bytes` over SABRE's on the largest Eagle row (the worst
+//! style at that size). Allocation totals move a few percent between runs,
+//! far less than timings, so a tight bound on the ratio catches a regression
+//! in NASSC's routing allocations without flaking:
 //!
 //! ```text
 //! bench_scale --max-qubits 127 --json BENCH_scale.json
 //! bench_gate BENCH_scale.json --max scale_mismatches 0 \
-//!     --max peak_alloc_mb 2048 --max total_transpile_seconds 900
+//!     --max peak_alloc_mb 2048 --max total_transpile_seconds 900 \
+//!     --max nassc_sabre_alloc_ratio 1.5
 //! ```
 //!
 //! Flags: `--devices a,b,c` (any `Device::from_str` spec; default
@@ -92,6 +97,8 @@ fn main() {
     let mut mismatches = 0usize;
     let mut peak_alloc_mb = 0f64;
     let mut total_seconds = 0f64;
+    // (gates, NASSC/SABRE total bytes) of the Eagle rows.
+    let mut eagle_alloc_ratios: Vec<(usize, f64)> = Vec::new();
 
     println!("== Scale sweep — devices {devices:?}, sizes {sizes:?}, styles {styles:?} ==");
     println!(
@@ -116,6 +123,7 @@ fn main() {
         for style in &styles {
             for &gates in &sizes {
                 let (generated, parsed) = workload(style, width, gates);
+                let mut sabre_total_bytes = 0;
                 if parsed != generated {
                     eprintln!("MISMATCH: {spec}/{style}{gates}: QASM round-trip diverged");
                     mismatches += 1;
@@ -172,6 +180,12 @@ fn main() {
                             ("total_bytes".into(), total as f64),
                         ],
                     });
+                    match router {
+                        "sabre" => sabre_total_bytes = total,
+                        _ if device.name() == "eagle" => eagle_alloc_ratios
+                            .push((gates, total as f64 / sabre_total_bytes as f64)),
+                        _ => {}
+                    }
                     peak_alloc_mb = peak_alloc_mb.max(peak as f64 / MB);
                     total_seconds += elapsed;
                 }
@@ -185,6 +199,18 @@ fn main() {
         ("peak_alloc_mb".into(), peak_alloc_mb),
         ("total_transpile_seconds".into(), total_seconds),
     ];
+    let largest_eagle = eagle_alloc_ratios.iter().map(|&(gates, _)| gates).max();
+    if let Some(largest) = largest_eagle {
+        let ratio = eagle_alloc_ratios
+            .iter()
+            .filter(|&&(gates, _)| gates == largest)
+            .map(|&(_, ratio)| ratio)
+            .fold(0.0, f64::max);
+        report
+            .summary
+            .push(("nassc_sabre_alloc_ratio".into(), ratio));
+        println!("NASSC/SABRE total allocation on the largest Eagle row: {ratio:.2}x");
+    }
     println!(
         "\nsummary: rows {} | mismatches {} | peak alloc {:.1} MB | transpile {:.1} s",
         report.rows.len(),

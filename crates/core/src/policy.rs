@@ -2,13 +2,18 @@
 //! cost function of Eq. 2 and optimization-aware SWAP decomposition.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
+use nassc_math::Matrix4;
 use nassc_sabre::{RoutingContext, RoutingState, SwapPolicy};
 use nassc_synthesis::{swap_decomposition, SwapOrientation};
 use nassc_topology::Layout;
 
-use crate::cost::{evaluate_swap_reduction_windowed, OptimizationFlags};
+use crate::cost::{
+    block_unitary_c2q, evaluate_swap_reduction_pricing, evaluate_swap_reduction_windowed,
+    OptimizationFlags, SwapReduction,
+};
 
 /// NASSC's SWAP-scoring policy.
 ///
@@ -23,9 +28,15 @@ use crate::cost::{evaluate_swap_reduction_windowed, OptimizationFlags};
 /// decomposition orientation each cancellation requires and commutes
 /// trailing single-qubit gates through the SWAP (the single-qubit movement
 /// of §IV-E).
+///
+/// Reductions are memoized per qubit pair under the routing state's edit
+/// stamps (see the [`cost`](crate::cost) module docs). Scores are exactly
+/// those of [`evaluate_swap_reduction_windowed`], and one policy may be
+/// reused across routing passes.
 #[derive(Debug, Clone, Default)]
 pub struct NasscPolicy {
     flags: OptimizationFlags,
+    memo: ReductionMemo,
     orientations: HashMap<usize, SwapOrientation>,
     pending_orientation: Option<SwapOrientation>,
     pending_partner: Option<usize>,
@@ -77,7 +88,7 @@ impl NasscPolicy {
 impl SwapPolicy for NasscPolicy {
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64 {
         let front_len = ctx.front.len().max(1) as f64;
-        let reduction = evaluate_swap_reduction_windowed(ctx.state, p1, p2, &self.flags);
+        let reduction = self.memo.reduction(ctx.state, p1, p2, &self.flags);
         let basic = (3.0 * ctx.front_distance_after_swap(p1, p2) - reduction.total()) / front_len;
         let extended = if ctx.extended.is_empty() {
             0.0
@@ -96,8 +107,13 @@ impl SwapPolicy for NasscPolicy {
         p2: usize,
     ) {
         // Re-evaluate the winning candidate to fix its decomposition
-        // orientation (and its sandwich partner's).
-        let reduction = evaluate_swap_reduction_windowed(output, p1, p2, &self.flags);
+        // orientation (and its sandwich partner's). Only the commutation
+        // terms set those, so `C_2q` is skipped.
+        let flags = OptimizationFlags {
+            block_resynthesis: false,
+            ..self.flags
+        };
+        let reduction = evaluate_swap_reduction_windowed(output, p1, p2, &flags);
         self.pending_orientation = reduction.orientation;
         self.pending_partner = reduction.partner_swap_index;
 
@@ -146,6 +162,129 @@ impl SwapPolicy for NasscPolicy {
         self.pending_partner = None;
         for inst in self.detached_gates.drain(..) {
             output.push(inst);
+        }
+    }
+}
+
+/// The per-pair memo behind [`NasscPolicy::score`]: for each qubit pair,
+/// the reduction last computed for it under the pair's
+/// [`RoutingState::stamp`]s, and the last trailing-block unitary priced for
+/// it with its `C_2q`.
+///
+/// A reduction is a function of the instructions touching the pair, and the
+/// stamps change on every edit to those and never repeat, so an entry whose
+/// stamps match the state's is exact — whatever states, clones or routing
+/// passes the memo has seen. On a stamp miss the reduction is recomputed,
+/// but a trailing block whose unitary is bit-for-bit the one last priced for
+/// the pair (a lone CNOT on it, say) reuses that `C_2q` and skips the two
+/// Weyl decompositions: the same input to the same pure function.
+///
+/// The memo holds at most one entry per pair ever scored (a coupling edge)
+/// and allocates only when a pair is first seen. Stamp hits and misses are
+/// emitted as the `nassc.c2q_memo.hits`/`.misses` trace counters when the
+/// memo is dropped: once per routing pass, since every pipeline pass builds
+/// its own policy.
+#[derive(Debug, Default)]
+struct ReductionMemo {
+    table: Mutex<MemoTable>,
+}
+
+#[derive(Debug, Default)]
+struct MemoTable {
+    /// Keyed by the `(low, high)` qubit pair.
+    entries: HashMap<(usize, usize), MemoEntry>,
+    hits: u64,
+    misses: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    /// `(stamp(low), stamp(high))` when `reduction` was computed.
+    stamps: (u64, u64),
+    reduction: SwapReduction,
+    /// The last trailing-block unitary priced for the pair, and its `C_2q`.
+    block: Option<(Matrix4, f64)>,
+}
+
+impl ReductionMemo {
+    /// The reduction of a SWAP on `(p1, p2)` under `flags`: memoized if the
+    /// pair is unedited since it was computed, else computed (outside the
+    /// lock) and memoized.
+    fn reduction(
+        &self,
+        state: &RoutingState,
+        p1: usize,
+        p2: usize,
+        flags: &OptimizationFlags,
+    ) -> SwapReduction {
+        let pair = (p1.min(p2), p1.max(p2));
+        let stamps = (state.stamp(pair.0), state.stamp(pair.1));
+        let mut block = {
+            let mut table = self.lock();
+            match table.entries.get(&pair) {
+                Some(entry) if entry.stamps == stamps => {
+                    let reduction = entry.reduction;
+                    table.hits += 1;
+                    return reduction;
+                }
+                Some(entry) => entry.block,
+                None => None,
+            }
+        };
+        let reduction =
+            evaluate_swap_reduction_pricing(state, p1, p2, flags, |unitary| match block {
+                Some((priced, c_2q)) if same_bits(&priced, unitary) => c_2q,
+                _ => {
+                    let c_2q = block_unitary_c2q(unitary);
+                    block = Some((*unitary, c_2q));
+                    c_2q
+                }
+            });
+        let mut table = self.lock();
+        table.misses += 1;
+        table.entries.insert(
+            pair,
+            MemoEntry {
+                stamps,
+                reduction,
+                block,
+            },
+        );
+        reduction
+    }
+
+    /// Poison-tolerant: every update under the lock (a counter bump, one
+    /// insert) leaves the table valid, so a panicking scorer elsewhere must
+    /// not wedge the memo.
+    fn lock(&self) -> MutexGuard<'_, MemoTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Bitwise matrix equality: `==` on floats would equate `0.0` and `-0.0`,
+/// which the Weyl decomposition need not treat alike.
+fn same_bits(a: &Matrix4, b: &Matrix4) -> bool {
+    (0..4).all(|r| {
+        (0..4).all(|c| {
+            let (x, y) = (a.get(r, c), b.get(r, c));
+            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+        })
+    })
+}
+
+impl Clone for ReductionMemo {
+    /// A clone starts empty: entries only ever save work.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Drop for ReductionMemo {
+    fn drop(&mut self) {
+        let table = self.table.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if table.hits + table.misses > 0 {
+            nassc_trace::counter("nassc.c2q_memo.hits", table.hits);
+            nassc_trace::counter("nassc.c2q_memo.misses", table.misses);
         }
     }
 }

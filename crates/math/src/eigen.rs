@@ -9,22 +9,40 @@
 //!   symmetric `n×n` matrix (cyclic Jacobi rotations), and
 //! * [`simultaneous_diagonalize`] — a common orthogonal eigenbasis for two
 //!   commuting real symmetric matrices.
+//!
+//! Matrices are at most [`MAX_DIM`]×[`MAX_DIM`] and live on the stack: NASSC
+//! prices `C_2q` with two Weyl decompositions whenever a candidate SWAP's
+//! trailing block changes, so the solver sits on the routing path.
 
-/// A dynamically sized dense real matrix stored row-major.
+/// The largest dimension a [`RealMatrix`] supports: the eigensolver serves
+/// the two-qubit (4×4) Weyl decomposition.
+pub const MAX_DIM: usize = 4;
+
+/// A dense real matrix of dimension at most [`MAX_DIM`], stored row-major on
+/// the stack, so the eigensolver never touches the allocator for it.
 ///
 /// Only the handful of operations needed by the eigensolver are provided.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RealMatrix {
     n: usize,
-    data: Vec<f64>,
+    /// The first `n * n` entries hold the matrix; the rest stay zero.
+    data: [f64; MAX_DIM * MAX_DIM],
 }
 
 impl RealMatrix {
     /// Creates an `n×n` zero matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > MAX_DIM`.
     pub fn zeros(n: usize) -> Self {
+        assert!(
+            n <= MAX_DIM,
+            "RealMatrix supports up to {MAX_DIM}x{MAX_DIM}, got {n}"
+        );
         Self {
             n,
-            data: vec![0.0; n * n],
+            data: [0.0; MAX_DIM * MAX_DIM],
         }
     }
 
@@ -41,13 +59,12 @@ impl RealMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != n * n`.
+    /// Panics if `data.len() != n * n` or `n > MAX_DIM`.
     pub fn from_rows(n: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), n * n, "row-major data must have n*n entries");
-        Self {
-            n,
-            data: data.to_vec(),
-        }
+        let mut m = Self::zeros(n);
+        m.data[..n * n].copy_from_slice(data);
+        m
     }
 
     /// Matrix dimension.
@@ -124,7 +141,7 @@ impl RealMatrix {
     /// Determinant via LU decomposition with partial pivoting.
     pub fn det(&self) -> f64 {
         let n = self.n;
-        let mut a = self.clone();
+        let mut a = *self;
         let mut det = 1.0;
         for col in 0..n {
             // Pivot.
@@ -181,7 +198,7 @@ pub fn jacobi_eigen(matrix: &RealMatrix) -> Eigen {
         "jacobi_eigen requires a symmetric matrix"
     );
     let n = matrix.dim();
-    let mut a = matrix.clone();
+    let mut a = *matrix;
     let mut v = RealMatrix::identity(n);
 
     for _sweep in 0..100 {
@@ -267,7 +284,7 @@ pub fn simultaneous_diagonalize(a: &RealMatrix, b: &RealMatrix, degeneracy_tol: 
     }
 
     // Within each cluster, diagonalise b restricted to the subspace.
-    let mut result = basis.clone();
+    let mut result = basis;
     for &(lo, hi) in &clusters {
         let m = hi - lo;
         if m <= 1 {
@@ -369,7 +386,7 @@ mod tests {
             ],
         );
         let a = base.mul(&base); // base^2
-        let b = base.clone();
+        let b = base;
         let v = simultaneous_diagonalize(&a, &b, 1e-6);
         let da = v.transpose().mul(&a).mul(&v);
         let db = v.transpose().mul(&b).mul(&v);
@@ -396,6 +413,12 @@ mod tests {
         for v in &e.values {
             assert!((v - 1.0).abs() < 1e-14);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "up to 4x4")]
+    fn matrices_wider_than_max_dim_are_rejected() {
+        RealMatrix::zeros(MAX_DIM + 1);
     }
 
     #[test]

@@ -23,6 +23,14 @@
 //! lists cost the same order of memory as the output circuit itself. Queries
 //! stay O(window) either way because they walk the tails only.
 //!
+//! Every push and pop also gives each qubit it touches a fresh *edit stamp*
+//! ([`RoutingState::stamp`]), drawn from one process-wide monotonic counter.
+//! A stamp is therefore never handed out twice — not across clones, not
+//! across states, not after a pop and a re-push at the same index — so two
+//! qubits' stamps name the exact contents of their touch lists, and anything
+//! computed from those lists can be memoized under the stamps (NASSC's
+//! `C_2q` block cost is).
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +47,14 @@
 //! assert_eq!(&buf[..n], &[2, 1, 0]);
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use nassc_circuit::{Instruction, QuantumCircuit};
+
+/// The next edit stamp. Process-wide, so stamps never repeat between states.
+/// `Relaxed` suffices: a stamp publishes no other data, and each atomic
+/// read-modify-write returns a distinct value under any ordering.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// The router's output circuit plus the per-qubit index lists that make
 /// windowed queries O(window) instead of O(circuit).
@@ -53,6 +68,9 @@ pub struct RoutingState {
     circuit: QuantumCircuit,
     /// For each physical qubit, the ascending output indices touching it.
     touched: Vec<Vec<u32>>,
+    /// For each physical qubit, the stamp of the last push/pop touching it
+    /// (0 while untouched).
+    stamps: Vec<u64>,
 }
 
 impl RoutingState {
@@ -61,6 +79,7 @@ impl RoutingState {
         Self {
             circuit: QuantumCircuit::new(num_qubits),
             touched: vec![Vec::new(); num_qubits],
+            stamps: vec![0; num_qubits],
         }
     }
 
@@ -94,24 +113,42 @@ impl RoutingState {
         self.circuit
     }
 
-    /// Appends an instruction, indexing it on every qubit it touches. O(arity).
+    /// Appends an instruction, indexing it on every qubit it touches and
+    /// giving each of them a fresh stamp. O(arity).
     pub fn push(&mut self, instruction: Instruction) {
         let index = self.circuit.num_gates() as u32;
+        let stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
         for q in instruction.qubits().iter() {
             self.touched[q].push(index);
+            self.stamps[q] = stamp;
         }
         self.circuit.push(instruction);
     }
 
-    /// Removes and returns the last instruction, un-indexing it. O(arity).
+    /// Removes and returns the last instruction, un-indexing it and giving
+    /// each qubit it touched a fresh stamp. O(arity).
     pub fn pop(&mut self) -> Option<Instruction> {
         let instruction = self.circuit.pop()?;
         let index = self.circuit.num_gates() as u32;
+        let stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
         for q in instruction.qubits().iter() {
             let popped = self.touched[q].pop();
             debug_assert_eq!(popped, Some(index), "touch list out of sync on pop");
+            self.stamps[q] = stamp;
         }
         Some(instruction)
+    }
+
+    /// The edit stamp of qubit `q`: 0 until an instruction touching `q` is
+    /// pushed, then replaced by a never-before-issued value on every push or
+    /// pop touching `q`.
+    ///
+    /// Two states (or one state at two times) that agree on the stamps of
+    /// `p1` and `p2` hold the same instructions touching either qubit, so
+    /// any function of [`rev_touching_window`](Self::rev_touching_window)
+    /// over that pair can be cached under the two stamps.
+    pub fn stamp(&self, q: usize) -> u64 {
+        self.stamps[q]
     }
 
     /// Fills `buf` with the output indices of the most recent instructions
@@ -172,7 +209,8 @@ impl RoutingState {
 
 impl PartialEq for RoutingState {
     fn eq(&self, other: &Self) -> bool {
-        // The touch lists are derived data; the circuit is the identity.
+        // The touch lists are derived data and the stamps record edit
+        // history, not content; the circuit is the identity.
         self.circuit == other.circuit && self.touched == other.touched
     }
 }
@@ -253,6 +291,58 @@ mod tests {
         let mut buf = [0u32; 4];
         let n = state.rev_touching_window(0, 1, &mut buf);
         assert_eq!(&buf[..n], &[1, 0]);
+    }
+
+    #[test]
+    fn push_restamps_exactly_the_touched_qubits() {
+        let mut state = sample_state();
+        let before: Vec<u64> = (0..4).map(|q| state.stamp(q)).collect();
+        state.push(Instruction::new(Gate::Cx, vec![3, 0]));
+        for (q, &old) in before.iter().enumerate() {
+            if q == 0 || q == 3 {
+                assert!(state.stamp(q) > old, "qubit {q} must be restamped");
+            } else {
+                assert_eq!(state.stamp(q), old, "qubit {q} must keep its stamp");
+            }
+        }
+        assert_eq!(state.stamp(0), state.stamp(3), "one push, one stamp");
+    }
+
+    #[test]
+    fn pop_then_push_at_the_same_index_issues_unseen_stamps() {
+        let mut state = sample_state();
+        let mut seen: Vec<u64> = (0..4).map(|q| state.stamp(q)).collect();
+        state.pop(); // the T on qubit 1
+        assert!(!seen.contains(&state.stamp(1)), "a pop restamps its qubits");
+        seen.extend((0..4).map(|q| state.stamp(q)));
+        state.push(Instruction::new(Gate::H, vec![1]));
+        assert_eq!(state.num_gates(), 5, "the push reuses the popped index");
+        assert!(!seen.contains(&state.stamp(1)));
+    }
+
+    #[test]
+    fn diverging_clones_never_share_a_stamp() {
+        let mut a = sample_state();
+        let mut b = a.clone();
+        a.push(Instruction::new(Gate::X, vec![2]));
+        b.push(Instruction::new(Gate::Z, vec![2]));
+        assert_ne!(a.stamp(2), b.stamp(2));
+        // Even the same instruction pushed on both sides gets two stamps.
+        a.push(Instruction::new(Gate::Cx, vec![0, 1]));
+        b.push(Instruction::new(Gate::Cx, vec![0, 1]));
+        assert_ne!(a.stamp(0), b.stamp(0));
+        assert_ne!(a.stamp(1), b.stamp(1));
+    }
+
+    #[test]
+    fn equality_ignores_stamps() {
+        let mut a = sample_state();
+        let b = sample_state();
+        assert_ne!(a.stamp(1), b.stamp(1));
+        assert_eq!(a, b);
+        let popped = a.pop().unwrap();
+        a.push(popped);
+        assert_eq!(a, b);
     }
 
     #[test]

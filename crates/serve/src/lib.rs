@@ -78,8 +78,8 @@ pub mod metrics;
 pub mod queue;
 pub mod signal;
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -100,6 +100,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Per-socket read timeout so a stalled client cannot pin a worker.
 const SOCKET_READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The longest the acceptor drains a rejected connection before closing it
+/// (see [`reject`]); bounds what a silent client can cost the accept loop.
+const REJECT_DRAIN: Duration = Duration::from_millis(50);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -379,10 +383,27 @@ fn lock_metrics(shared: &Shared) -> std::sync::MutexGuard<'_, ServerMetrics> {
 
 /// Writes a bare error response from the acceptor (load shedding and
 /// shutdown refusals never reach the queue).
+///
+/// The request is never read, and closing a socket with unread input makes
+/// the kernel send a reset that can destroy the response before the client
+/// reads it. So the acceptor half-closes and drains the client's bytes until
+/// it hangs up, for at most [`REJECT_DRAIN`].
 fn reject(shared: &Shared, mut stream: TcpStream, status: u16, message: &str) {
     let response = Response::text(status, format!("{message}\n"));
     if response.write_to(&mut stream).is_ok() {
         let _ = stream.flush();
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REJECT_DRAIN;
+    let mut sink = [0u8; 4096];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
     }
     lock_metrics(shared).count_response(status);
 }

@@ -180,7 +180,7 @@ impl WeylDecomposition {
         // magic-basis signatures of XX, YY, ZZ (a consistent 4×3 linear
         // system once the mean eigenphase is moved into the global phase).
         let mean = theta.iter().sum::<f64>() / 4.0;
-        let centred: Vec<f64> = theta.iter().map(|t| t - mean).collect();
+        let centred = theta.map(|t| t - mean);
         let sigs = magic_signatures();
         let (alpha, beta, gamma) =
             solve_interaction_angles(&centred, &sigs).ok_or_else(|| DecomposeUnitaryError {

@@ -2,16 +2,23 @@
 //! index and the delta-style (cached-endpoint, zero-clone) scoring helpers
 //! agree *exactly* — same booleans, same floats — with the full-recompute
 //! reference implementations, on random circuits, random push/pop
-//! histories and every qubit pair.
+//! histories and every qubit pair. `NasscPolicy`'s memoized `C_2q` routes
+//! exactly like an unmemoized scorer.
 
 use proptest::prelude::*;
 
 use nassc::circuit::{DagCircuit, Gate, Instruction, QuantumCircuit};
-use nassc::sabre::{RoutingContext, RoutingState, SabreConfig, StepEndpoints};
-use nassc::{evaluate_swap_reduction, evaluate_swap_reduction_windowed, OptimizationFlags};
+use nassc::sabre::{
+    route_with_policy_on, RoutingContext, RoutingResult, RoutingState, SabreConfig, StepEndpoints,
+    SwapPolicy,
+};
+use nassc::{
+    evaluate_swap_reduction, evaluate_swap_reduction_windowed, NasscPolicy, OptimizationFlags,
+    ThreadPool,
+};
 use nassc_topology::{CouplingMap, Layout};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const WIDTH: usize = 5;
 
@@ -159,6 +166,174 @@ proptest! {
                     ctx.extended_distance(&trial).to_bits()
                 );
             }
+        }
+    }
+}
+
+/// NASSC's Eq. 2 scored through the public, unmemoized windowed evaluator.
+/// The emission hooks (orientations, single-qubit movement) delegate to a
+/// `NasscPolicy`, whose hooks never consult its `C_2q` memo.
+struct UnmemoizedNassc {
+    flags: OptimizationFlags,
+    emit: NasscPolicy,
+}
+
+impl SwapPolicy for UnmemoizedNassc {
+    fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64 {
+        let front_len = ctx.front.len().max(1) as f64;
+        let reduction = evaluate_swap_reduction_windowed(ctx.state, p1, p2, &self.flags);
+        let basic = (3.0 * ctx.front_distance_after_swap(p1, p2) - reduction.total()) / front_len;
+        let extended = if ctx.extended.is_empty() {
+            0.0
+        } else {
+            ctx.config.extended_set_weight * ctx.extended_distance_after_swap(p1, p2)
+                / ctx.extended.len() as f64
+        };
+        basic + extended
+    }
+
+    fn before_swap_emit(
+        &mut self,
+        output: &mut RoutingState,
+        layout: &Layout,
+        p1: usize,
+        p2: usize,
+    ) {
+        self.emit.before_swap_emit(output, layout, p1, p2);
+    }
+
+    fn after_swap_emit(
+        &mut self,
+        output: &mut RoutingState,
+        swap_index: usize,
+        p1: usize,
+        p2: usize,
+    ) {
+        self.emit.after_swap_emit(output, swap_index, p1, p2);
+    }
+}
+
+/// A random logical circuit over `width` qubits: CNOTs between random
+/// pairs mixed with the 1q gates that form `C_2q` blocks around them.
+fn random_logical_circuit(width: usize, gates: usize, seed: u64) -> QuantumCircuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut qc = QuantumCircuit::new(width);
+    for _ in 0..gates {
+        let a = rng.gen_range(0..width);
+        match rng.gen_range(0..6u8) {
+            0 => qc.rz(rng.gen_range(-3.0..3.0), a),
+            1 => qc.h(a),
+            2 => qc.t(a),
+            _ => {
+                let b = (a + rng.gen_range(1..width)) % width;
+                qc.cx(a, b)
+            }
+        };
+    }
+    qc
+}
+
+fn route<P: SwapPolicy + Sync>(
+    qc: &QuantumCircuit,
+    device: &CouplingMap,
+    seed: u64,
+    policy: &mut P,
+    pool: &ThreadPool,
+) -> RoutingResult {
+    let layout = Layout::random(device.num_qubits(), &mut StdRng::seed_from_u64(seed));
+    route_with_policy_on(
+        qc,
+        device,
+        &device.distance_matrix(),
+        &layout,
+        &SabreConfig::with_seed(seed),
+        policy,
+        &mut StdRng::seed_from_u64(seed),
+        pool,
+    )
+}
+
+fn differential_devices() -> Vec<(&'static str, CouplingMap)> {
+    vec![
+        ("linear", CouplingMap::linear(7)),
+        ("grid", CouplingMap::grid(3, 3)),
+        ("heavy-hex", CouplingMap::heavy_hex(3)),
+    ]
+}
+
+/// The memoized `NasscPolicy` (scoring on two workers, so the memo is hit
+/// concurrently) routes exactly like the unmemoized scorer: same circuit,
+/// same SWAP count, same recorded orientations, under every flag
+/// combination.
+#[test]
+fn memoized_nassc_routes_like_the_unmemoized_scorer() {
+    // The memo reports its traffic through the trace recorder; no other
+    // test in this binary records, so its totals show this test's hits.
+    nassc::trace::enable();
+    let pool = ThreadPool::new(2);
+    for (name, device) in differential_devices() {
+        for seed in 0..3u64 {
+            let qc = random_logical_circuit(device.num_qubits().min(9), 60, seed);
+            for flags in OptimizationFlags::all_combinations() {
+                let mut memoized = NasscPolicy::new(flags);
+                let mut reference = UnmemoizedNassc {
+                    flags,
+                    emit: NasscPolicy::new(flags),
+                };
+                let fast = route(&qc, &device, seed, &mut memoized, &pool);
+                let slow = route(&qc, &device, seed, &mut reference, &ThreadPool::new(1));
+                let label = format!("{name} seed {seed} flags {}", flags.label());
+                assert_eq!(
+                    fast.circuit, slow.circuit,
+                    "{label}: routed circuits differ"
+                );
+                assert_eq!(
+                    fast.swap_count, slow.swap_count,
+                    "{label}: SWAP counts differ"
+                );
+                assert_eq!(
+                    memoized.orientations(),
+                    reference.emit.orientations(),
+                    "{label}: orientations differ"
+                );
+            }
+        }
+    }
+    let report = nassc::trace::take_report();
+    nassc::trace::disable();
+    assert!(
+        report.counter_total("nassc.c2q_memo.hits") > 0,
+        "the memo was never hit"
+    );
+    assert!(report.counter_total("nassc.c2q_memo.misses") > 0);
+}
+
+/// One policy reused for two consecutive routes (its memo still holding
+/// the first route's entries) routes the second exactly like a fresh one.
+#[test]
+fn reused_nassc_policy_routes_like_fresh_policies() {
+    let pool = ThreadPool::new(2);
+    for (name, device) in differential_devices() {
+        let width = device.num_qubits().min(9);
+        let first = random_logical_circuit(width, 60, 11);
+        let second = random_logical_circuit(width, 60, 12);
+        let mut reused = NasscPolicy::new(OptimizationFlags::all());
+        let reused_first = route(&first, &device, 11, &mut reused, &pool);
+        let reused_second = route(&second, &device, 12, &mut reused, &pool);
+        let fresh_first = route(&first, &device, 11, &mut NasscPolicy::default(), &pool);
+        let fresh_second = route(&second, &device, 12, &mut NasscPolicy::default(), &pool);
+        for (reused, fresh, which) in [
+            (&reused_first, &fresh_first, "first"),
+            (&reused_second, &fresh_second, "second"),
+        ] {
+            assert_eq!(
+                reused.circuit, fresh.circuit,
+                "{name}: {which} route differs"
+            );
+            assert_eq!(
+                reused.swap_count, fresh.swap_count,
+                "{name}: {which} route differs"
+            );
         }
     }
 }

@@ -135,6 +135,12 @@ fn enabled_recorder_captures_the_span_taxonomy() {
     // Routing stepped at least once and scored SWAP candidates.
     assert!(report.counter_total("route.steps") > 0);
     assert!(report.counter_total("route.swap_candidates") > 0);
+    // Every NASSC candidate score is one `C_2q` memo lookup, a hit or a miss.
+    assert_eq!(
+        report.counter_total("nassc.c2q_memo.hits") + report.counter_total("nassc.c2q_memo.misses"),
+        report.counter_total("route.swap_candidates")
+    );
+    assert!(report.counter_total("nassc.c2q_memo.hits") > 0);
     // Cache events: cold misses everything, warm hits everything.
     assert_eq!(report.counter_total("cache.distance_hit"), 1);
     assert_eq!(report.counter_total("cache.distance_miss"), 1);
