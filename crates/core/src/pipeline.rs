@@ -423,13 +423,10 @@ pub(crate) fn transpile_prepared_impl(
 
 /// [`transpile_prepared`] with an explicit worker budget.
 ///
-/// The budget is split between the two parallelism levels inside one
-/// transpile via [`ThreadPool::split_budget`]: layout trials fan across the
-/// outer share, and each routing pass fans its per-candidate SWAP scoring
-/// across the inner share (in single-trial mode the whole budget goes to
-/// in-pass scoring). The pool size affects wall clock only: every layout
-/// trial owns a private seed stream and candidate scores reduce serially in
-/// shuffled order, so the output is bit-identical at any worker count.
+/// Layout trials fan across the whole budget; each routing pass scores its
+/// SWAP candidates serially, so a single-trial transpile runs on one
+/// worker. The pool size affects wall clock only: every layout trial owns a
+/// private seed stream, so the output is bit-identical at any worker count.
 ///
 /// # Errors
 ///
@@ -476,7 +473,6 @@ pub(crate) fn transpile_prepared_on_budgeted_impl(
     budget: &Budget,
 ) -> Result<TranspileResult, PassError> {
     let start = Instant::now();
-    let (trial_pool, score_pool) = trial_pool.split_budget(options.layout_trials);
 
     // Layout, routing and SWAP decomposition; the two arms differ only in
     // the SWAP policy, the trial cost and how SWAPs are decomposed. SABRE
@@ -493,8 +489,7 @@ pub(crate) fn transpile_prepared_on_budgeted_impl(
             coupling,
             distances,
             options,
-            &trial_pool,
-            &score_pool,
+            trial_pool,
             budget,
             || SabrePolicy,
             |routed, _| routed.swap_count as f64,
@@ -505,8 +500,7 @@ pub(crate) fn transpile_prepared_on_budgeted_impl(
             coupling,
             distances,
             options,
-            &trial_pool,
-            &score_pool,
+            trial_pool,
             budget,
             || NasscPolicy::new(options.flags),
             |routed, policy| policy.decompose_swaps(&routed.circuit).cx_count() as f64,
@@ -543,8 +537,8 @@ pub(crate) fn transpile_prepared_on_budgeted_impl(
 /// winner's scoring pass already runs on the production RNG, so its route
 /// *is* the production route (see [`LayoutTrials::run_routed`]). Either way,
 /// re-running [`route_from`] on the cached initial layout with the same
-/// options reproduces the cold route gate-for-gate. The worker budget feeds
-/// in-pass SWAP scoring only, which never affects results.
+/// options reproduces the cold route gate-for-gate. One routing pass is
+/// serial, so this path takes no worker budget.
 ///
 /// `chosen_trial` and `trial_costs` are the cached diagnostics of the
 /// original layout search, echoed so warm results equal cold results field
@@ -561,7 +555,6 @@ pub(crate) fn transpile_prepared_from_layout(
     initial_layout: &Layout,
     chosen_trial: usize,
     trial_costs: Vec<f64>,
-    score_pool: &ThreadPool,
     budget: &Budget,
 ) -> Result<TranspileResult, PassError> {
     let start = Instant::now();
@@ -576,7 +569,6 @@ pub(crate) fn transpile_prepared_from_layout(
                 initial_layout,
                 options,
                 &|| SabrePolicy,
-                score_pool,
                 budget,
             );
             let decomposed = decompose_swaps_fixed(&routed.circuit);
@@ -590,7 +582,6 @@ pub(crate) fn transpile_prepared_from_layout(
                 initial_layout,
                 options,
                 &|| NasscPolicy::new(options.flags),
-                score_pool,
                 budget,
             );
             let decomposed = policy.decompose_swaps(&routed.circuit);
@@ -632,14 +623,13 @@ fn layout_route_decompose<P, F, S, D>(
     distances: &DistanceMatrix,
     options: &TranspileOptions,
     trial_pool: &ThreadPool,
-    score_pool: &ThreadPool,
     budget: &Budget,
     make_policy: F,
     score: S,
     decompose: D,
 ) -> (RoutingResult, QuantumCircuit, usize, Vec<f64>)
 where
-    P: SwapPolicy + Send + Sync,
+    P: SwapPolicy + Send,
     F: Fn() -> P + Sync,
     S: Fn(&RoutingResult, &P) -> f64 + Sync,
     D: Fn(&RoutingResult, &P) -> QuantumCircuit,
@@ -662,7 +652,7 @@ where
                 coupling,
                 distances,
                 &options.config,
-                score_pool,
+                &ThreadPool::new(1),
                 budget,
             )
         };
@@ -677,7 +667,7 @@ where
                 &options.config,
                 &mut policy,
                 &mut StdRng::seed_from_u64(options.config.seed),
-                score_pool,
+                &ThreadPool::new(1),
                 budget,
             );
             (routed, policy)
@@ -693,7 +683,6 @@ where
     let engine = LayoutTrials::new(prepared, coupling, distances, &options.config)
         .trials(options.layout_trials)
         .pool(*trial_pool)
-        .score_pool(*score_pool)
         .budget(budget.clone());
     let (selection, winner) = engine.run_routed(&make_policy, score);
     let costs = selection.trial_costs();
@@ -708,7 +697,6 @@ where
             &selection.layout,
             options,
             &make_policy,
-            score_pool,
             budget,
         ),
     };
@@ -729,11 +717,10 @@ fn route_from<P, F>(
     layout: &Layout,
     options: &TranspileOptions,
     make_policy: &F,
-    score_pool: &ThreadPool,
     budget: &Budget,
 ) -> (RoutingResult, P)
 where
-    P: SwapPolicy + Sync,
+    P: SwapPolicy,
     F: Fn() -> P,
 {
     let mut policy = make_policy();
@@ -746,7 +733,7 @@ where
         &options.config,
         &mut policy,
         &mut StdRng::seed_from_u64(options.config.seed),
-        score_pool,
+        &ThreadPool::new(1),
         budget,
     );
     (routed, policy)

@@ -184,6 +184,10 @@ impl SwapPolicy for NasscPolicy {
 /// emitted as the `nassc.c2q_memo.hits`/`.misses` trace counters when the
 /// memo is dropped: once per routing pass, since every pipeline pass builds
 /// its own policy.
+///
+/// [`SwapPolicy::score`] takes `&self`, so the table sits behind a `Mutex`.
+/// A routing pass scores serially, so the lock is never contended; it keeps
+/// `NasscPolicy` `Sync` for callers that share a policy by reference.
 #[derive(Debug, Default)]
 struct ReductionMemo {
     table: Mutex<MemoTable>,

@@ -622,7 +622,6 @@ impl Transpiler {
                 layout,
                 *chosen_trial,
                 trial_costs.clone(),
-                pool,
                 &resolved.budget,
             ),
             None => transpile_prepared_on_budgeted_impl(

@@ -18,9 +18,9 @@
 //! each of its dispatches — which is what lets a long-lived `Transpiler`
 //! session pay thread start-up once per process instead of once per call.
 //! The publishing caller always participates in its own batch, so nested
-//! dispatch (a batch job running layout trials running in-pass SWAP scoring)
-//! can never deadlock, and jobs may still borrow from the caller's stack:
-//! a dispatch blocks until its whole batch has completed.
+//! dispatch (a batch job running layout trials) can never deadlock, and
+//! jobs may still borrow from the caller's stack: a dispatch blocks until
+//! its whole batch has completed.
 //!
 //! Worker count resolution (see [`default_parallelism`]): the
 //! `NASSC_THREADS` environment variable when set to a positive integer,
@@ -191,10 +191,10 @@ impl ThreadPool {
     /// is order-preserving at every worker count, the split affects wall
     /// clock only, never results.
     ///
-    /// Splits chain: the batch engine splits its budget between jobs and
-    /// each job's share, and the transpile pipeline splits that share again
-    /// between layout trials and in-pass SWAP scoring — the product of all
-    /// levels never exceeds the original budget.
+    /// The batch engine and the `Transpiler` session split their budget
+    /// between jobs and each job's layout trials. That is the only split:
+    /// routing passes score their SWAP candidates serially, so a trial's
+    /// share is not divided further.
     pub fn split_budget(&self, jobs: usize) -> (ThreadPool, ThreadPool) {
         let outer = self.threads.min(jobs.max(1));
         let inner = (self.threads / outer).max(1);
@@ -264,9 +264,7 @@ impl ThreadPool {
     /// order — [`map`](Self::map) over `(0..n).collect()` minus the input
     /// vector, and the primitive `map` itself is built on: workers draw
     /// indices from an atomic counter, so dispatching allocates nothing
-    /// beyond the result slots. Built for per-step fan-outs inside hot
-    /// loops (the routing engine scores SWAP candidates through this every
-    /// step).
+    /// beyond the result slots.
     pub fn map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -586,7 +584,7 @@ mod tests {
     fn nested_dispatch_completes_without_deadlock() {
         // Outer jobs publish inner batches while every worker may already be
         // busy; caller participation guarantees progress. This mirrors the
-        // transpile pipeline's layout-trials → in-pass-scoring nesting.
+        // batch engine's jobs → layout-trials nesting.
         let outer = ThreadPool::new(4);
         let inner = ThreadPool::new(4);
         let got = outer.map_range(8, |i| inner.map_range(8, |j| i * 8 + j));

@@ -3,11 +3,10 @@
 //!
 //! Earlier revisions spawned OS threads inside every `map`/`map_range` call
 //! via [`std::thread::scope`]. That is correct but pays thread creation on
-//! every call — ruinous for the routing engine, which fans out candidate
-//! scoring on every routing step, and wrong for a long-lived transpilation
-//! service, where worker warm-up should be paid once per process, not once
-//! per request. This module replaces it with **long-lived parked workers**
-//! fed by a queue of published batches:
+//! every call — wrong for a long-lived transpilation service, where worker
+//! warm-up should be paid once per process, not once per request. This
+//! module replaces it with **long-lived parked workers** fed by a queue of
+//! published batches:
 //!
 //! * Workers are spawned lazily (up to the largest helper count any batch has
 //!   ever asked for, capped at [`MAX_POOL_WORKERS`]) and then live for the
@@ -15,9 +14,9 @@
 //! * A [`ThreadPool::map_range`] call publishes one `Batch` — a shared
 //!   index counter over `0..n` plus the job closure — wakes the workers, and
 //!   **participates in draining its own batch**. Caller participation is
-//!   what makes nested dispatch (batch jobs running layout trials running
-//!   in-pass scoring) deadlock-free: even if every worker is busy elsewhere,
-//!   the publishing thread drains the batch alone and the call completes.
+//!   what makes nested dispatch (batch jobs running layout trials)
+//!   deadlock-free: even if every worker is busy elsewhere, the publishing
+//!   thread drains the batch alone and the call completes.
 //! * A handle's `threads` budget caps how many workers may join its batch
 //!   (`threads - 1` helpers + the caller), so [`ThreadPool::split_budget`]
 //!   arithmetic keeps its meaning: the configured budget bounds the

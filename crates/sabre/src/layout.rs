@@ -12,9 +12,11 @@
 //!   *generic* [`SwapPolicy`] (so NASSC refines layouts with its
 //!   optimization-aware cost, not just plain SABRE), scored by a full
 //!   routing pass and reduced to the argmin with deterministic lowest-index
-//!   tie-breaking. Trials fan out across a [`ThreadPool`]; because every
-//!   trial owns its seed stream, results are bit-identical regardless of
-//!   worker count or of how many sibling trials run.
+//!   tie-breaking. Trials fan out across a [`ThreadPool`] — the only
+//!   parallelism inside one layout search, since each routing pass scores
+//!   its candidates serially; because every trial owns its seed stream,
+//!   results are bit-identical regardless of worker count or of how many
+//!   sibling trials run.
 //!
 //! A circuit with no two-qubit gates needs no layout search at all: both
 //! entry points return the identity layout (deterministic, and the cheapest
@@ -59,19 +61,6 @@ pub fn sabre_layout(
     distances: &DistanceMatrix,
     config: &SabreConfig,
 ) -> Layout {
-    sabre_layout_on(circuit, coupling, distances, config, &ThreadPool::new(1))
-}
-
-/// [`sabre_layout`] with an explicit pool for in-pass candidate scoring
-/// (see [`crate::router::route_with_policy_on`]). The pool affects wall
-/// clock only — outputs are bit-identical at any worker count.
-pub fn sabre_layout_on(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    config: &SabreConfig,
-    score_pool: &ThreadPool,
-) -> Layout {
     if circuit.two_qubit_gate_count() == 0 {
         return Layout::trivial(coupling.num_qubits());
     }
@@ -79,50 +68,43 @@ pub fn sabre_layout_on(
     // build each dependency DAG once instead of once per pass.
     let dag = DagCircuit::from_circuit(circuit);
     let reversed_dag = DagCircuit::from_circuit(&circuit.reversed());
-    sabre_layout_prepared(&dag, &reversed_dag, coupling, distances, config, score_pool)
-}
-
-/// [`sabre_layout_on`] over prebuilt forward/reversed dependency DAGs.
-///
-/// The single-trial pipeline builds the DAG once per circuit and shares it
-/// between the layout search and the production routing pass, instead of
-/// rebuilding it per pass. Outputs are bit-identical to [`sabre_layout_on`]
-/// for matching DAGs.
-pub fn sabre_layout_prepared(
-    dag: &DagCircuit,
-    reversed_dag: &DagCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    config: &SabreConfig,
-    score_pool: &ThreadPool,
-) -> Layout {
     sabre_layout_prepared_budgeted(
-        dag,
-        reversed_dag,
+        &dag,
+        &reversed_dag,
         coupling,
         distances,
         config,
-        score_pool,
+        &ThreadPool::new(1),
         &Budget::unlimited(),
     )
 }
 
-/// [`sabre_layout_prepared`] under a cooperative [`Budget`], checked at the
-/// start of the search and once per routing step of every refinement pass
-/// (see [`route_prepared_budgeted`]). Outputs are unchanged whenever the
-/// budget does not trip.
+/// [`sabre_layout`] over prebuilt forward/reversed dependency DAGs, under a
+/// cooperative [`Budget`].
+///
+/// The single-trial pipeline builds the DAG once per circuit and shares it
+/// between the layout search and the production routing pass, instead of
+/// rebuilding it per pass. Outputs are bit-identical to [`sabre_layout`]
+/// for matching DAGs. The budget is checked at the start of the search and
+/// once per routing step of every refinement pass (see
+/// [`route_prepared_budgeted`]); outputs are unchanged whenever it does not
+/// trip.
+///
+/// `_pool` is unused: routing passes score their candidates serially. It
+/// stays in the signature for existing callers.
 pub fn sabre_layout_prepared_budgeted(
     dag: &DagCircuit,
     reversed_dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     config: &SabreConfig,
-    score_pool: &ThreadPool,
+    _pool: &ThreadPool,
     budget: &Budget,
 ) -> Layout {
     budget.checkpoint();
     nassc_circuit::failpoints::hit("layout_trial");
     let _span = nassc_trace::span!("sabre_layout");
+    let serial = ThreadPool::new(1);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut layout = Layout::random(coupling.num_qubits(), &mut rng);
     for _ in 0..config.layout_iterations {
@@ -134,7 +116,7 @@ pub fn sabre_layout_prepared_budgeted(
             config,
             &mut SabrePolicy,
             &mut rng,
-            score_pool,
+            &serial,
             budget,
         );
         let backward = route_prepared_budgeted(
@@ -145,7 +127,7 @@ pub fn sabre_layout_prepared_budgeted(
             config,
             &mut SabrePolicy,
             &mut rng,
-            score_pool,
+            &serial,
             budget,
         );
         layout = backward.final_layout;
@@ -250,7 +232,6 @@ pub struct LayoutTrials<'a> {
     config: &'a SabreConfig,
     trials: usize,
     pool: ThreadPool,
-    score_pool: ThreadPool,
     budget: Budget,
 }
 
@@ -270,7 +251,6 @@ impl<'a> LayoutTrials<'a> {
             config,
             trials: 1,
             pool: ThreadPool::new(1),
-            score_pool: ThreadPool::new(1),
             budget: Budget::unlimited(),
         }
     }
@@ -284,15 +264,6 @@ impl<'a> LayoutTrials<'a> {
     /// Fans trials across `pool` (results never depend on its size).
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Fans each routing pass's candidate scoring across `pool` (results
-    /// never depend on its size). Callers with a fixed worker budget split
-    /// it between trials and scoring via
-    /// [`ThreadPool::split_budget`] so the two levels never oversubscribe.
-    pub fn score_pool(mut self, pool: ThreadPool) -> Self {
-        self.score_pool = pool;
         self
     }
 
@@ -314,7 +285,7 @@ impl<'a> LayoutTrials<'a> {
     /// stateful policies never leak state across passes.
     pub fn run<P, F>(&self, make_policy: F) -> LayoutSelection
     where
-        P: SwapPolicy + Send + Sync,
+        P: SwapPolicy + Send,
         F: Fn() -> P + Sync,
     {
         self.run_scored(make_policy, |routed, _| routed.swap_count as f64)
@@ -329,7 +300,7 @@ impl<'a> LayoutTrials<'a> {
     /// actually survive, instead of pricing every SWAP equally.
     pub fn run_scored<P, F, S>(&self, make_policy: F, score: S) -> LayoutSelection
     where
-        P: SwapPolicy + Send + Sync,
+        P: SwapPolicy + Send,
         F: Fn() -> P + Sync,
         S: Fn(&RoutingResult, &P) -> f64 + Sync,
     {
@@ -352,7 +323,7 @@ impl<'a> LayoutTrials<'a> {
         score: S,
     ) -> (LayoutSelection, Option<(RoutingResult, P)>)
     where
-        P: SwapPolicy + Send + Sync,
+        P: SwapPolicy + Send,
         F: Fn() -> P + Sync,
         S: Fn(&RoutingResult, &P) -> f64 + Sync,
     {
@@ -412,7 +383,7 @@ impl<'a> LayoutTrials<'a> {
         score: &S,
     ) -> (Layout, TrialOutcome, RoutingResult, P)
     where
-        P: SwapPolicy + Sync,
+        P: SwapPolicy,
         F: Fn() -> P + Sync,
         S: Fn(&RoutingResult, &P) -> f64 + Sync,
     {
@@ -432,6 +403,7 @@ impl<'a> LayoutTrials<'a> {
             rng
         };
 
+        let serial = ThreadPool::new(1);
         let mut layout = Layout::random(self.coupling.num_qubits(), &mut stage_rng());
         for _ in 0..self.config.layout_iterations {
             let forward = route_prepared_budgeted(
@@ -442,7 +414,7 @@ impl<'a> LayoutTrials<'a> {
                 self.config,
                 &mut make_policy(),
                 &mut stage_rng(),
-                &self.score_pool,
+                &serial,
                 &self.budget,
             );
             let backward = route_prepared_budgeted(
@@ -453,7 +425,7 @@ impl<'a> LayoutTrials<'a> {
                 self.config,
                 &mut make_policy(),
                 &mut stage_rng(),
-                &self.score_pool,
+                &serial,
                 &self.budget,
             );
             layout = backward.final_layout;
@@ -467,7 +439,7 @@ impl<'a> LayoutTrials<'a> {
             self.config,
             &mut scoring_policy,
             &mut StdRng::seed_from_u64(self.config.seed),
-            &self.score_pool,
+            &serial,
             &self.budget,
         );
         let cost = score(&scored, &scoring_policy);

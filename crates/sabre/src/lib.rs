@@ -18,10 +18,9 @@
 //! * [`RoutingState`] — the incremental output-circuit state (per-qubit
 //!   touch index with O(1) push/pop and O(window) pair queries) the hot
 //!   loop is built around,
-//! * [`route_with_policy_on`] / [`route_prepared`] — the same routing pass
-//!   with per-candidate SWAP scoring fanned across a thread pool
-//!   (bit-identical to serial at any worker count) and with a prebuilt
-//!   dependency DAG.
+//! * [`route_prepared_budgeted`] / [`sabre_layout_prepared_budgeted`] —
+//!   the same routing pass and layout search over prebuilt dependency DAGs,
+//!   under a cooperative deadline.
 //!
 //! # Example
 //!
@@ -49,12 +48,11 @@ pub mod state;
 
 pub use config::SabreConfig;
 pub use layout::{
-    sabre_layout, sabre_layout_on, sabre_layout_prepared, sabre_layout_prepared_budgeted,
-    select_best_trial, split_seed, LayoutSelection, LayoutTrials, TrialOutcome,
+    sabre_layout, sabre_layout_prepared_budgeted, select_best_trial, split_seed, LayoutSelection,
+    LayoutTrials, TrialOutcome,
 };
 pub use router::{
-    route_prepared, route_prepared_budgeted, route_with_policy, route_with_policy_on, sabre_route,
-    RoutingContext, RoutingResult, SabrePolicy, StepEndpoints, SwapPolicy,
-    PARALLEL_SCORE_THRESHOLD,
+    route_prepared_budgeted, route_with_policy, sabre_route, RoutingContext, RoutingResult,
+    SabrePolicy, StepEndpoints, SwapPolicy,
 };
 pub use state::RoutingState;

@@ -14,15 +14,24 @@
 //! * the output circuit lives in a [`RoutingState`], whose per-qubit touch
 //!   indices answer "which recent gates touch this pair?" in O(window) —
 //!   this is what NASSC's commutation searches consume;
-//! * candidate scores are evaluated against per-step cached physical
-//!   endpoints ([`RoutingContext::front_distance_after_swap`]), so scoring a
-//!   SWAP clones no [`Layout`] and allocates nothing;
-//! * [`SwapPolicy::score`] takes `&self`, so candidate scoring is `Sync` and
-//!   [`route_with_policy_on`] can fan it across a [`ThreadPool`]. The argmin
-//!   reduction stays serial in shuffled candidate order, so outputs are
-//!   bit-identical at every worker count;
+//! * candidates are priced against a per-step [`StepEndpoints`]: the front
+//!   and extended layers resolved to physical qubit pairs, each layer's
+//!   distance sum, and a per-qubit index of the gates on each qubit. A SWAP
+//!   on `(p1, p2)` moves only the gates on `p1` and `p2`, so
+//!   [`RoutingContext::front_distance_after_swap`] returns the base sum
+//!   minus those gates' old distances plus their new ones — a handful of
+//!   lookups instead of a rescan of both layers, no [`Layout`] clone and no
+//!   allocation. That is exact only when every partial sum is, so it runs
+//!   on [integer-weight](DistanceMatrix::integral_weights) matrices; on
+//!   fractional (noise-aware) or disconnected (∞) matrices the engine keeps
+//!   the ordered rescan, the only bit-exact choice for those inputs;
+//! * candidates are scored serially, with the argmin taken in shuffled
+//!   candidate order (ties keep the first minimum). A step prices about a
+//!   hundred candidates at tens of nanoseconds each, far less than a
+//!   thread-pool dispatch costs; parallelism lives one level up, across
+//!   layout trials and batch jobs;
 //! * all per-step buffers (front layer, extended set, candidate edges,
-//!   scores) are reused scratch owned by the routing loop.
+//!   endpoint index) are reused scratch owned by the routing loop.
 
 use std::collections::VecDeque;
 
@@ -37,24 +46,114 @@ use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 use crate::config::SabreConfig;
 use crate::state::RoutingState;
 
-/// Minimum number of SWAP candidates before a step's scoring is fanned
-/// across the score pool. Below this, pool dispatch costs more than the
-/// scores themselves; the threshold only redirects *where* scores are
-/// computed, never what they are, so results do not depend on it.
-pub const PARALLEL_SCORE_THRESHOLD: usize = 8;
+/// End of a per-qubit slot list in [`LayerEndpoints`].
+const NO_SLOT: u32 = u32::MAX;
 
-/// Per-step cache of the front/extended layers' *physical* endpoints.
+/// Most gates a layer may hold and still be priced by delta: with weights
+/// of magnitude at most 2³² (see [`DistanceMatrix::integral_weights`]),
+/// every partial sum over this many gates stays below 2⁵³, so it is exact.
+const MAX_DELTA_GATES: usize = 1 << 20;
+
+/// One layer (front or extended) of a routing step, resolved to physical
+/// endpoint pairs, plus what delta pricing needs: the layer's distance sum
+/// and, per physical qubit, a linked list of the endpoint slots on it.
+///
+/// Slot `2·g + side` is side `side` (0 or 1) of gate `g`; `head[p]` is the
+/// first slot on qubit `p` and `next[slot]` the one after it.
+#[derive(Debug, Default)]
+struct LayerEndpoints {
+    pairs: Vec<(u32, u32)>,
+    /// Whether `base`/`head`/`next` describe `pairs` (delta mode).
+    indexed: bool,
+    base: f64,
+    head: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl LayerEndpoints {
+    /// Replaces the layer with `pairs`, indexing it for delta pricing when
+    /// `distances` allows exact delta sums.
+    fn prepare(&mut self, pairs: impl Iterator<Item = (u32, u32)>, distances: &DistanceMatrix) {
+        if self.indexed {
+            // Only the old pairs' qubits have list heads to clear.
+            for &(a, b) in &self.pairs {
+                self.head[a as usize] = NO_SLOT;
+                self.head[b as usize] = NO_SLOT;
+            }
+        }
+        self.pairs.clear();
+        self.pairs.extend(pairs);
+        self.indexed = distances.integral_weights() && self.pairs.len() <= MAX_DELTA_GATES;
+        if !self.indexed {
+            return;
+        }
+        if self.head.len() < distances.num_qubits() {
+            self.head.resize(distances.num_qubits(), NO_SLOT);
+        }
+        self.next.clear();
+        self.next.resize(2 * self.pairs.len(), NO_SLOT);
+        for (gate, &(a, b)) in self.pairs.iter().enumerate() {
+            for (side, p) in [a, b].into_iter().enumerate() {
+                let slot = (2 * gate + side) as u32;
+                self.next[slot as usize] = self.head[p as usize];
+                self.head[p as usize] = slot;
+            }
+        }
+        self.base = self
+            .pairs
+            .iter()
+            .map(|&(a, b)| distances.weight(a as usize, b as usize))
+            .sum();
+    }
+
+    /// The layer's summed distance after a SWAP on `(p1, p2)`.
+    ///
+    /// Delta mode: the base sum with each gate on `p1` or `p2` repriced —
+    /// its old distance subtracted, its new one added — once per gate, even
+    /// when gates share a qubit or one gate sits on both. Every weight is a
+    /// small integer there, so the result equals the ordered rescan's
+    /// exactly. Otherwise: the ordered rescan itself.
+    fn distance_after_swap(&self, distances: &DistanceMatrix, p1: u32, p2: u32) -> f64 {
+        let weight_after =
+            |(a, b): (u32, u32)| distances.weight(after_swap(a, p1, p2), after_swap(b, p1, p2));
+        if !self.indexed {
+            return self.pairs.iter().map(|&pair| weight_after(pair)).sum();
+        }
+        let mut sum = self.base;
+        for (qubit, priced) in [(p1, None), (p2, Some(p1))] {
+            let mut slot = self.head[qubit as usize];
+            while slot != NO_SLOT {
+                let (a, b) = self.pairs[slot as usize / 2];
+                // Skip the second side of a gate with both sides on
+                // `qubit`, and gates already repriced from `p1`'s list.
+                let repeat = slot % 2 == 1 && a == qubit;
+                let seen = priced.is_some_and(|p| a == p || b == p);
+                if !repeat && !seen {
+                    sum = sum - distances.weight(a as usize, b as usize) + weight_after((a, b));
+                }
+                slot = self.next[slot as usize];
+            }
+        }
+        sum
+    }
+}
+
+/// Per-step cache of the front/extended layers' *physical* endpoints, their
+/// distance sums and a per-qubit gate index.
 ///
 /// Candidate scoring asks for the front and extended distance after a
 /// hypothetical SWAP, for every candidate. Resolving each gate's logical
 /// qubits through the layout once per step (instead of once per candidate)
-/// and storing the physical pairs flat lets
-/// [`RoutingContext::front_distance_after_swap`] answer with a pure scan —
-/// no layout clone, no DAG chasing, no allocation.
+/// lets [`RoutingContext::front_distance_after_swap`] answer without a
+/// layout clone, DAG chasing or allocation; on
+/// [integer-weight](DistanceMatrix::integral_weights) matrices it also
+/// reprices only the gates on the swapped qubits (see the
+/// [module docs](self)). The layers may share qubits, within and across
+/// each other.
 #[derive(Debug, Default)]
 pub struct StepEndpoints {
-    front: Vec<(u32, u32)>,
-    extended: Vec<(u32, u32)>,
+    front: LayerEndpoints,
+    extended: LayerEndpoints,
 }
 
 impl StepEndpoints {
@@ -64,13 +163,16 @@ impl StepEndpoints {
     }
 
     /// Resolves the physical endpoint pairs of `front` and `extended` under
-    /// `layout`, reusing the internal buffers.
+    /// `layout` and indexes them for pricing against `distances` (which
+    /// must be the matrix of the [`RoutingContext`] built over this cache),
+    /// reusing the internal buffers.
     pub fn prepare(
         &mut self,
         dag: &DagCircuit,
         front: &[usize],
         extended: &[usize],
         layout: &Layout,
+        distances: &DistanceMatrix,
     ) {
         let resolve = |node: &usize| {
             let inst = &dag.node(*node).instruction;
@@ -79,10 +181,9 @@ impl StepEndpoints {
                 layout.physical_of(inst.qubit(1)) as u32,
             )
         };
-        self.front.clear();
-        self.front.extend(front.iter().map(resolve));
-        self.extended.clear();
-        self.extended.extend(extended.iter().map(resolve));
+        self.front.prepare(front.iter().map(resolve), distances);
+        self.extended
+            .prepare(extended.iter().map(resolve), distances);
     }
 }
 
@@ -125,7 +226,7 @@ pub struct RoutingContext<'a> {
 impl<'a> RoutingContext<'a> {
     /// Builds a context over an explicitly prepared [`StepEndpoints`]
     /// (`endpoints.prepare` must have been called with the same
-    /// `front`/`extended`/`layout`). The router does this once per step;
+    /// `front`/`extended`/`layout`/`distances`). The router does this once per step;
     /// exposed so tests and embedders can score candidates directly.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -192,34 +293,26 @@ impl<'a> RoutingContext<'a> {
         trial
     }
 
-    /// The summed front-layer distance after a SWAP on `(p1, p2)`, computed
-    /// from the cached physical endpoints: same gates, same summation order
-    /// — bit-identical to `front_distance(&layout_after_swap(p1, p2))` —
-    /// with zero clones and zero allocation.
+    /// The summed front-layer distance after a SWAP on `(p1, p2)`,
+    /// bit-identical to `front_distance(&layout_after_swap(p1, p2))` with
+    /// zero clones and zero allocation.
+    ///
+    /// On an [integer-weight](DistanceMatrix::integral_weights) matrix this
+    /// is the step's base sum with only the gates on `p1` or `p2` repriced;
+    /// otherwise it rescans the layer in order, which is the only bit-exact
+    /// way to sum fractional or infinite weights.
     pub fn front_distance_after_swap(&self, p1: usize, p2: usize) -> f64 {
-        let (p1, p2) = (p1 as u32, p2 as u32);
         self.endpoints
             .front
-            .iter()
-            .map(|&(a, b)| {
-                self.distances
-                    .weight(after_swap(a, p1, p2), after_swap(b, p1, p2))
-            })
-            .sum()
+            .distance_after_swap(self.distances, p1 as u32, p2 as u32)
     }
 
     /// The summed extended-layer distance after a SWAP on `(p1, p2)` (see
     /// [`front_distance_after_swap`](Self::front_distance_after_swap)).
     pub fn extended_distance_after_swap(&self, p1: usize, p2: usize) -> f64 {
-        let (p1, p2) = (p1 as u32, p2 as u32);
         self.endpoints
             .extended
-            .iter()
-            .map(|&(a, b)| {
-                self.distances
-                    .weight(after_swap(a, p1, p2), after_swap(b, p1, p2))
-            })
-            .sum()
+            .distance_after_swap(self.distances, p1 as u32, p2 as u32)
     }
 
     /// SABRE's lookahead distance term: normalised front-layer distance plus
@@ -243,11 +336,11 @@ impl<'a> RoutingContext<'a> {
 /// Lower scores are better. The engine multiplies the returned score by the
 /// SABRE decay factor of the two physical qubits before comparing.
 ///
-/// [`score`](Self::score) takes `&self` — scoring must be a pure function of
-/// the context and the candidate, which is what lets the engine evaluate
-/// candidates in parallel while staying bit-identical to serial evaluation.
-/// Mutable state belongs in the emission hooks, which run serially exactly
-/// once per inserted SWAP.
+/// [`score`](Self::score) takes `&self` — a score must be a pure function of
+/// the context and the candidate, so it does not matter how often or in
+/// which order the engine asks (it scores every candidate of a step, in
+/// shuffled order, before emitting anything). Mutable state belongs in the
+/// emission hooks, which run exactly once per inserted SWAP.
 pub trait SwapPolicy {
     /// Scores the SWAP on physical qubits `(p1, p2)`.
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64;
@@ -306,7 +399,7 @@ pub struct RoutingResult {
     pub swap_count: usize,
 }
 
-/// Routes a logical circuit with the given SWAP policy, serially.
+/// Routes a logical circuit with the given SWAP policy.
 ///
 /// Every gate of the output acts on physical qubits and every two-qubit gate
 /// respects the coupling map (inserted SWAPs included).
@@ -316,7 +409,7 @@ pub struct RoutingResult {
 /// Panics when the device is smaller than the circuit, the coupling graph is
 /// disconnected, or routing fails to make progress (which would indicate an
 /// internal bug).
-pub fn route_with_policy<P: SwapPolicy + Sync>(
+pub fn route_with_policy<P: SwapPolicy>(
     circuit: &QuantumCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
@@ -324,36 +417,9 @@ pub fn route_with_policy<P: SwapPolicy + Sync>(
     config: &SabreConfig,
     policy: &mut P,
     rng: &mut StdRng,
-) -> RoutingResult {
-    route_with_policy_on(
-        circuit,
-        coupling,
-        distances,
-        initial_layout,
-        config,
-        policy,
-        rng,
-        &ThreadPool::new(1),
-    )
-}
-
-/// [`route_with_policy`] with an explicit pool for in-pass candidate
-/// scoring. The pool affects wall clock only: scores are computed in
-/// candidate order either way and reduced serially, so the routed output is
-/// bit-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn route_with_policy_on<P: SwapPolicy + Sync>(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    config: &SabreConfig,
-    policy: &mut P,
-    rng: &mut StdRng,
-    score_pool: &ThreadPool,
 ) -> RoutingResult {
     let dag = DagCircuit::from_circuit(circuit);
-    route_prepared(
+    route_prepared_budgeted(
         &dag,
         coupling,
         distances,
@@ -361,48 +427,28 @@ pub fn route_with_policy_on<P: SwapPolicy + Sync>(
         config,
         policy,
         rng,
-        score_pool,
-    )
-}
-
-/// [`route_with_policy_on`] over a prebuilt dependency DAG.
-///
-/// Layout search routes the same circuit (and its reversal) many times;
-/// building the DAG once per circuit instead of once per pass is what this
-/// entry point exists for.
-#[allow(clippy::too_many_arguments)]
-pub fn route_prepared<P: SwapPolicy + Sync>(
-    dag: &DagCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    config: &SabreConfig,
-    policy: &mut P,
-    rng: &mut StdRng,
-    score_pool: &ThreadPool,
-) -> RoutingResult {
-    route_prepared_budgeted(
-        dag,
-        coupling,
-        distances,
-        initial_layout,
-        config,
-        policy,
-        rng,
-        score_pool,
+        &ThreadPool::new(1),
         &Budget::unlimited(),
     )
 }
 
-/// [`route_prepared`] under a cooperative [`Budget`]: the routing loop
-/// checks the budget once per SWAP step and aborts by unwinding with a
-/// typed [`Cancelled`] payload when it is exhausted. The checkpoint is one
-/// relaxed atomic load on an unexpired budget, so the routed output — and
-/// its cost — is unchanged whenever the budget does not trip.
+/// [`route_with_policy`] over a prebuilt dependency DAG, under a
+/// cooperative [`Budget`].
+///
+/// Layout search routes the same circuit (and its reversal) many times;
+/// building the DAG once per circuit instead of once per pass is what this
+/// entry point exists for. The routing loop checks the budget once per SWAP
+/// step and aborts by unwinding with a typed [`Cancelled`] payload when it
+/// is exhausted. The checkpoint is one relaxed atomic load on an unexpired
+/// budget, so the routed output — and its cost — is unchanged whenever the
+/// budget does not trip.
+///
+/// `_pool` is unused: candidates are scored serially (see the
+/// [module docs](self)). It stays in the signature for existing callers.
 ///
 /// [`Cancelled`]: nassc_parallel::Cancelled
 #[allow(clippy::too_many_arguments)]
-pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
+pub fn route_prepared_budgeted<P: SwapPolicy>(
     dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
@@ -410,7 +456,7 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     config: &SabreConfig,
     policy: &mut P,
     rng: &mut StdRng,
-    score_pool: &ThreadPool,
+    _pool: &ThreadPool,
     budget: &Budget,
 ) -> RoutingResult {
     assert!(
@@ -433,16 +479,13 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     let max_swaps = 10 + 20 * dag.num_nodes() * num_physical;
     let mut total_swaps_guard = 0usize;
 
-    // Reusable per-step scratch: with serial scoring, nothing below
-    // allocates after warm-up (parallel dispatch additionally pays
-    // `map_range`'s result slots and a pool batch per step).
+    // Reusable per-step scratch: nothing below allocates after warm-up.
     let mut next_ready: Vec<usize> = Vec::new();
     let mut front: Vec<usize> = Vec::new();
     let mut extended_scratch = ExtendedScratch::new(dag.num_nodes());
     let mut candidates: Vec<(usize, usize)> = Vec::new();
     let mut edge_seen = vec![false; num_physical * num_physical];
     let mut endpoints = StepEndpoints::new();
-    let mut scores: Vec<f64> = Vec::new();
 
     // Trace totals, accumulated locally and emitted once per route call:
     // per-step counter events would dominate the enabled-mode overhead on
@@ -452,8 +495,8 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     let mut trace_swap_candidates = 0u64;
 
     while remaining > 0 {
-        // A deadline mid-routing aborts here — before the step's scoring
-        // fan-out, the expensive part — by unwinding with `Cancelled`.
+        // A deadline mid-routing aborts here — before the step's scoring,
+        // the expensive part — by unwinding with `Cancelled`.
         budget.checkpoint();
         nassc_circuit::failpoints::hit("route_step");
 
@@ -541,31 +584,14 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
         trace_steps += 1;
         trace_swap_candidates += candidates.len() as u64;
 
-        endpoints.prepare(dag, &front, extended, &layout);
+        endpoints.prepare(dag, &front, extended, &layout, distances);
         let ctx = RoutingContext::new(
             coupling, distances, &layout, &front, extended, dag, &state, config, &endpoints,
         );
-        scores.clear();
-        let policy_ref: &P = policy;
-        if score_pool.threads() > 1 && candidates.len() >= PARALLEL_SCORE_THRESHOLD {
-            // Workers draw candidate indices from an atomic counter, so
-            // parallel dispatch allocates nothing beyond the result slots.
-            scores.extend(score_pool.map_range(candidates.len(), |i| {
-                let (p1, p2) = candidates[i];
-                policy_ref.score(&ctx, p1, p2)
-            }));
-        } else {
-            scores.extend(
-                candidates
-                    .iter()
-                    .map(|&(p1, p2)| policy_ref.score(&ctx, p1, p2)),
-            );
-        }
-        // Serial argmin in shuffled candidate order: ties keep the first
-        // minimum, exactly as the serial scoring loop always has.
+        // Argmin in shuffled candidate order: ties keep the first minimum.
         let mut best: Option<((usize, usize), f64)> = None;
-        for (&(p1, p2), &raw) in candidates.iter().zip(&scores) {
-            let score = raw * decay[p1].max(decay[p2]);
+        for &(p1, p2) in &candidates {
+            let score = policy.score(&ctx, p1, p2) * decay[p1].max(decay[p2]);
             if best.is_none_or(|(_, b)| score < b) {
                 best = Some(((p1, p2), score));
             }
@@ -781,43 +807,6 @@ mod tests {
                 "trial {trial} not mapped"
             );
             assert_routing_preserves_semantics(&qc, &result);
-        }
-    }
-
-    #[test]
-    fn parallel_scoring_is_bit_identical_to_serial() {
-        use rand::Rng;
-        let grid = CouplingMap::grid(3, 3);
-        let distances = grid.distance_matrix();
-        let layout = Layout::trivial(9);
-        let mut gen = StdRng::seed_from_u64(5);
-        for trial in 0..4 {
-            let mut qc = QuantumCircuit::new(9);
-            for _ in 0..40 {
-                let a = gen.gen_range(0..9);
-                let b = (a + gen.gen_range(1..9)) % 9;
-                qc.cx(a, b);
-            }
-            let config = SabreConfig::with_seed(trial);
-            let route_on = |threads: usize| {
-                route_with_policy_on(
-                    &qc,
-                    &grid,
-                    &distances,
-                    &layout,
-                    &config,
-                    &mut SabrePolicy,
-                    &mut StdRng::seed_from_u64(trial),
-                    &ThreadPool::new(threads),
-                )
-            };
-            let serial = route_on(1);
-            for threads in [2, 8] {
-                let parallel = route_on(threads);
-                assert_eq!(serial.circuit, parallel.circuit, "{threads} threads");
-                assert_eq!(serial.final_layout, parallel.final_layout);
-                assert_eq!(serial.swap_count, parallel.swap_count);
-            }
         }
     }
 

@@ -6,10 +6,11 @@
 /// floating-point weights (used by the noise-aware HA-style distance of
 /// Eq. 3 in the paper, where an edge's weight mixes its error rate, duration
 /// and unit distance).
-/// Sentinel for "unreachable" in the compact hop storage; surfaced to
-/// callers as `usize::MAX` so the public API is unchanged.
-const UNREACHABLE: u32 = u32::MAX;
-
+///
+/// The matrix also records, once at construction, whether every weight is
+/// a small integer ([`integral_weights`](Self::integral_weights)): sums of
+/// such weights are exact in any order, which lets the router price a
+/// candidate SWAP as a delta against a per-step base sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {
     n: usize,
@@ -18,6 +19,26 @@ pub struct DistanceMatrix {
     // routing hot loop. Device diameters are tiny, so u32 never saturates.
     hops: Vec<u32>,
     weights: Vec<f64>,
+    integral: bool,
+}
+
+/// Sentinel for "unreachable" in the compact hop storage; surfaced to
+/// callers as `usize::MAX` so the public API is unchanged.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// The largest weight magnitude [`DistanceMatrix::integral_weights`]
+/// accepts. Any sum of up to 2²⁰ such integers stays below 2⁵³, where
+/// every integer is an exact `f64`.
+const MAX_INTEGRAL_WEIGHT: f64 = 4_294_967_296.0; // 2^32
+
+/// Whether `w` is an integer weight whose sums are exact: finite, whole,
+/// at most [`MAX_INTEGRAL_WEIGHT`] in magnitude, and not `-0.0` (whose sign
+/// an ordered sum can keep but a difference of sums cannot).
+fn is_integral_weight(w: f64) -> bool {
+    w.is_finite()
+        && w.fract() == 0.0
+        && w.abs() <= MAX_INTEGRAL_WEIGHT
+        && !(w == 0.0 && w.is_sign_negative())
 }
 
 impl DistanceMatrix {
@@ -35,7 +56,7 @@ impl DistanceMatrix {
             })
             .collect();
         let hops = hops.into_iter().map(Self::compact_hop).collect();
-        Self { n, hops, weights }
+        Self::assemble(n, hops, weights)
     }
 
     /// Builds a matrix from explicit floating-point weights, deriving the hop
@@ -52,7 +73,17 @@ impl DistanceMatrix {
                 }
             })
             .collect();
-        Self { n, hops, weights }
+        Self::assemble(n, hops, weights)
+    }
+
+    fn assemble(n: usize, hops: Vec<u32>, weights: Vec<f64>) -> Self {
+        let integral = weights.iter().all(|&w| is_integral_weight(w));
+        Self {
+            n,
+            hops,
+            weights,
+            integral,
+        }
     }
 
     fn compact_hop(h: usize) -> u32 {
@@ -85,10 +116,19 @@ impl DistanceMatrix {
     }
 
     /// Replaces the weighted view while keeping the hop view.
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
+    pub fn with_weights(self, weights: Vec<f64>) -> Self {
         assert_eq!(weights.len(), self.n * self.n);
-        self.weights = weights;
-        self
+        Self::assemble(self.n, self.hops, weights)
+    }
+
+    /// Whether every weight is a finite integer of magnitude at most 2³²
+    /// (and none is `-0.0`), so that any sum of up to 2²⁰ weights — in any
+    /// order, with any mix of additions and subtractions — is computed
+    /// exactly. True for plain hop-count matrices of connected devices;
+    /// false when some pair is unreachable (∞) or the weights are
+    /// fractional (noise-aware). Recorded once at construction.
+    pub fn integral_weights(&self) -> bool {
+        self.integral
     }
 
     /// The largest finite hop count in the matrix.
@@ -126,6 +166,38 @@ mod tests {
             DistanceMatrix::from_hops(2, vec![0, 1, 1, 0]).with_weights(vec![0.0, 2.5, 2.5, 0.0]);
         assert_eq!(d.hops(0, 1), 1);
         assert!((d.weight(0, 1) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hop_matrices_have_integral_weights() {
+        let d = DistanceMatrix::from_hops(3, vec![0, 1, 2, 1, 0, 1, 2, 1, 0]);
+        assert!(d.integral_weights());
+    }
+
+    #[test]
+    fn unreachable_pairs_are_not_integral() {
+        let d = DistanceMatrix::from_hops(2, vec![0, usize::MAX, usize::MAX, 0]);
+        assert!(!d.integral_weights());
+    }
+
+    #[test]
+    fn fractional_or_oversized_weights_are_not_integral() {
+        assert!(!DistanceMatrix::from_weights(2, vec![0.0, 1.5, 1.5, 0.0]).integral_weights());
+        assert!(DistanceMatrix::from_weights(2, vec![0.0, 4.0, 4.0, 0.0]).integral_weights());
+        let huge = 2f64.powi(40);
+        let oversized =
+            DistanceMatrix::from_hops(2, vec![0, 1, 1, 0]).with_weights(vec![0.0, huge, huge, 0.0]);
+        assert!(!oversized.integral_weights());
+        assert!(!DistanceMatrix::from_weights(2, vec![-0.0, 1.0, 1.0, 0.0]).integral_weights());
+    }
+
+    #[test]
+    fn with_weights_recomputes_integrality() {
+        let hops = DistanceMatrix::from_hops(2, vec![0, 1, 1, 0]);
+        let fractional = hops.clone().with_weights(vec![0.0, 2.5, 2.5, 0.0]);
+        assert!(!fractional.integral_weights());
+        let whole = fractional.with_weights(vec![0.0, 3.0, 3.0, 0.0]);
+        assert!(whole.integral_weights());
     }
 
     #[test]

@@ -11,14 +11,10 @@
 
 use nassc::circuit::QuantumCircuit;
 use nassc::parallel::ThreadPool;
-use nassc::sabre::{route_with_policy_on, SabreConfig, SabrePolicy};
 use nassc::{
-    transpile, transpile_batch_on, BatchJob, NasscPolicy, OptimizationFlags, RouterKind,
-    TranspileOptions, TranspileResult,
+    transpile, transpile_batch_on, BatchJob, RouterKind, TranspileOptions, TranspileResult,
 };
-use nassc_topology::{CouplingMap, Layout};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use nassc_topology::CouplingMap;
 
 fn sample_circuit() -> QuantumCircuit {
     let mut qc = QuantumCircuit::new(6);
@@ -135,62 +131,6 @@ fn batched_multi_trial_jobs_match_serial_pools() {
                 &format!("{workers} workers, job {index}"),
             );
         }
-    }
-}
-
-/// In-pass parallel SWAP scoring: a single routing pass driven through an
-/// explicit score pool is bit-identical to the serial pass, for both the
-/// SABRE and the NASSC policy, at every worker count. (The
-/// `NASSC_THREADS` sweep above exercises the same machinery through the
-/// pipeline's budget split; this pins the router-level contract directly.)
-#[test]
-fn in_pass_parallel_scoring_is_bit_identical() {
-    let device = CouplingMap::ibmq_montreal();
-    let distances = device.distance_matrix();
-    let circuit = sample_circuit();
-    let layout = Layout::trivial(device.num_qubits());
-    let config = SabreConfig::with_seed(3);
-
-    let sabre_route = |threads: usize| {
-        route_with_policy_on(
-            &circuit,
-            &device,
-            &distances,
-            &layout,
-            &config,
-            &mut SabrePolicy,
-            &mut StdRng::seed_from_u64(3),
-            &ThreadPool::new(threads),
-        )
-    };
-    let nassc_route = |threads: usize| {
-        route_with_policy_on(
-            &circuit,
-            &device,
-            &distances,
-            &layout,
-            &config,
-            &mut NasscPolicy::new(OptimizationFlags::all()),
-            &mut StdRng::seed_from_u64(3),
-            &ThreadPool::new(threads),
-        )
-    };
-    let (sabre_serial, nassc_serial) = (sabre_route(1), nassc_route(1));
-    assert!(nassc_serial.swap_count > 0, "inner loop never exercised");
-    for threads in [2, 8] {
-        let sabre = sabre_route(threads);
-        assert_eq!(
-            sabre_serial.circuit, sabre.circuit,
-            "sabre, {threads} workers"
-        );
-        assert_eq!(sabre_serial.final_layout, sabre.final_layout);
-        let nassc = nassc_route(threads);
-        assert_eq!(
-            nassc_serial.circuit, nassc.circuit,
-            "nassc, {threads} workers"
-        );
-        assert_eq!(nassc_serial.final_layout, nassc.final_layout);
-        assert_eq!(nassc_serial.swap_count, nassc.swap_count);
     }
 }
 

@@ -1,22 +1,25 @@
 //! The incremental-routing-state contract: the windowed per-qubit touch
-//! index and the delta-style (cached-endpoint, zero-clone) scoring helpers
-//! agree *exactly* — same booleans, same floats — with the full-recompute
+//! index and the delta-priced (base-sum, zero-clone) scoring helpers agree
+//! *exactly* — same booleans, same float bits — with the full-recompute
 //! reference implementations, on random circuits, random push/pop
-//! histories and every qubit pair. `NasscPolicy`'s memoized `C_2q` routes
-//! exactly like an unmemoized scorer.
+//! histories, every qubit pair, and hop-count, noise-aware (fractional) and
+//! disconnected (∞) distance matrices. `SabrePolicy` routes exactly like a
+//! scorer that clones the layout per candidate, and `NasscPolicy`'s
+//! memoized `C_2q` routes exactly like an unmemoized scorer.
 
 use proptest::prelude::*;
 
 use nassc::circuit::{DagCircuit, Gate, Instruction, QuantumCircuit};
 use nassc::sabre::{
-    route_with_policy_on, RoutingContext, RoutingResult, RoutingState, SabreConfig, StepEndpoints,
-    SwapPolicy,
+    route_with_policy, RoutingContext, RoutingResult, RoutingState, SabreConfig, SabrePolicy,
+    StepEndpoints, SwapPolicy,
 };
 use nassc::{
     evaluate_swap_reduction, evaluate_swap_reduction_windowed, NasscPolicy, OptimizationFlags,
-    ThreadPool,
 };
-use nassc_topology::{CouplingMap, Layout};
+use nassc_topology::{
+    noise_aware_distance, Calibration, CouplingMap, DistanceMatrix, Layout, NoiseAwareAlphas,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -146,7 +149,7 @@ proptest! {
         let config = SabreConfig::default();
         let state = RoutingState::new(WIDTH);
         let mut endpoints = StepEndpoints::new();
-        endpoints.prepare(&dag, front, extended, &layout);
+        endpoints.prepare(&dag, front, extended, &layout, &distances);
         let ctx = RoutingContext::new(
             &device, &distances, &layout, front, extended, &dag, &state, &config, &endpoints,
         );
@@ -166,6 +169,137 @@ proptest! {
                     ctx.extended_distance(&trial).to_bits()
                 );
             }
+        }
+    }
+}
+
+/// Checks, bitwise and for every candidate pair, that the after-swap
+/// distances priced from `distances` equal the clone-the-layout-and-resum
+/// reference. `ops` builds a logical CNOT circuit whose DAG nodes are split
+/// into a front and an extended layer that may share qubits.
+fn check_after_swap_distances(
+    ops: &[(u8, usize, usize, f64)],
+    layout_seed: u64,
+    device: &CouplingMap,
+    distances: &DistanceMatrix,
+) {
+    let mut qc = QuantumCircuit::new(WIDTH);
+    for &(_, a, b, _) in ops {
+        let (a, b) = (a % WIDTH, b % WIDTH);
+        if a != b {
+            qc.cx(a, b);
+        }
+    }
+    if qc.is_empty() {
+        qc.cx(0, 1);
+    }
+    let dag = DagCircuit::from_circuit(&qc);
+    let nodes: Vec<usize> = (0..dag.num_nodes()).collect();
+    let (front, extended) = nodes.split_at(nodes.len().div_ceil(2));
+    let layout = Layout::random(WIDTH, &mut StdRng::seed_from_u64(layout_seed));
+    let config = SabreConfig::default();
+    let state = RoutingState::new(WIDTH);
+    let mut endpoints = StepEndpoints::new();
+    endpoints.prepare(&dag, front, extended, &layout, distances);
+    let ctx = RoutingContext::new(
+        device, distances, &layout, front, extended, &dag, &state, &config, &endpoints,
+    );
+    for p1 in 0..WIDTH {
+        for p2 in 0..WIDTH {
+            if p1 == p2 {
+                continue;
+            }
+            let trial = ctx.layout_after_swap(p1, p2);
+            assert_eq!(
+                ctx.front_distance_after_swap(p1, p2).to_bits(),
+                ctx.front_distance(&trial).to_bits(),
+                "front, swap ({p1}, {p2})"
+            );
+            assert_eq!(
+                ctx.extended_distance_after_swap(p1, p2).to_bits(),
+                ctx.extended_distance(&trial).to_bits(),
+                "extended, swap ({p1}, {p2})"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The after-swap distances stay bitwise exact on a noise-aware
+    /// matrix, whose fractional weights rule out delta pricing.
+    #[test]
+    fn after_swap_distances_match_layout_clones_on_calibrated_weights(
+        ops in proptest::collection::vec((4u8..6, 0usize..WIDTH, 0usize..WIDTH, 0.0f64..1.0), 1..25),
+        layout_seed in 0u64..1000,
+        calibration_seed in 0u64..1000,
+    ) {
+        let device = CouplingMap::linear(WIDTH);
+        let calibration = Calibration::synthetic(&device, calibration_seed);
+        let distances = noise_aware_distance(&device, &calibration, NoiseAwareAlphas::default());
+        prop_assert!(!distances.integral_weights());
+        check_after_swap_distances(&ops, layout_seed, &device, &distances);
+    }
+
+    /// The after-swap distances stay bitwise exact on a disconnected
+    /// device, whose unreachable pairs weigh ∞.
+    #[test]
+    fn after_swap_distances_match_layout_clones_on_disconnected_devices(
+        ops in proptest::collection::vec((4u8..6, 0usize..WIDTH, 0usize..WIDTH, 0.0f64..1.0), 1..25),
+        layout_seed in 0u64..1000,
+    ) {
+        let device = CouplingMap::new(WIDTH, &[(0, 1), (1, 2), (3, 4)]);
+        let distances = device.distance_matrix();
+        prop_assert!(!distances.integral_weights());
+        check_after_swap_distances(&ops, layout_seed, &device, &distances);
+    }
+}
+
+/// Plain SABRE scored the reference way: clone the layout per candidate
+/// and rescan both layers, instead of pricing the SWAP against the step's
+/// base sums.
+struct ReferenceSabre;
+
+impl SwapPolicy for ReferenceSabre {
+    fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64 {
+        let trial = ctx.layout_after_swap(p1, p2);
+        let front_term = ctx.front_distance(&trial) / ctx.front.len().max(1) as f64;
+        let extended_term = if ctx.extended.is_empty() {
+            0.0
+        } else {
+            ctx.config.extended_set_weight * ctx.extended_distance(&trial)
+                / ctx.extended.len() as f64
+        };
+        front_term + extended_term
+    }
+}
+
+/// `SabrePolicy`, which prices candidates by delta on these integer-weight
+/// matrices, routes exactly like the clone-and-rescan `ReferenceSabre`:
+/// same circuit, final layout and SWAP count.
+#[test]
+fn delta_priced_sabre_routes_like_the_rescanning_reference() {
+    for (name, device) in differential_devices() {
+        assert!(device.distance_matrix().integral_weights(), "{name}");
+        for seed in 0..4u64 {
+            let qc = random_logical_circuit(device.num_qubits().min(9), 80, seed);
+            let fast = route(&qc, &device, seed, &mut SabrePolicy);
+            let slow = route(&qc, &device, seed, &mut ReferenceSabre);
+            let label = format!("{name} seed {seed}");
+            assert!(fast.swap_count > 0, "{label}: no SWAP step exercised");
+            assert_eq!(
+                fast.circuit, slow.circuit,
+                "{label}: routed circuits differ"
+            );
+            assert_eq!(
+                fast.final_layout, slow.final_layout,
+                "{label}: final layouts differ"
+            );
+            assert_eq!(
+                fast.swap_count, slow.swap_count,
+                "{label}: SWAP counts differ"
+            );
         }
     }
 }
@@ -233,15 +367,14 @@ fn random_logical_circuit(width: usize, gates: usize, seed: u64) -> QuantumCircu
     qc
 }
 
-fn route<P: SwapPolicy + Sync>(
+fn route<P: SwapPolicy>(
     qc: &QuantumCircuit,
     device: &CouplingMap,
     seed: u64,
     policy: &mut P,
-    pool: &ThreadPool,
 ) -> RoutingResult {
     let layout = Layout::random(device.num_qubits(), &mut StdRng::seed_from_u64(seed));
-    route_with_policy_on(
+    route_with_policy(
         qc,
         device,
         &device.distance_matrix(),
@@ -249,7 +382,6 @@ fn route<P: SwapPolicy + Sync>(
         &SabreConfig::with_seed(seed),
         policy,
         &mut StdRng::seed_from_u64(seed),
-        pool,
     )
 }
 
@@ -261,16 +393,14 @@ fn differential_devices() -> Vec<(&'static str, CouplingMap)> {
     ]
 }
 
-/// The memoized `NasscPolicy` (scoring on two workers, so the memo is hit
-/// concurrently) routes exactly like the unmemoized scorer: same circuit,
-/// same SWAP count, same recorded orientations, under every flag
-/// combination.
+/// The memoized `NasscPolicy` routes exactly like the unmemoized scorer:
+/// same circuit, same SWAP count, same recorded orientations, under every
+/// flag combination.
 #[test]
 fn memoized_nassc_routes_like_the_unmemoized_scorer() {
     // The memo reports its traffic through the trace recorder; no other
     // test in this binary records, so its totals show this test's hits.
     nassc::trace::enable();
-    let pool = ThreadPool::new(2);
     for (name, device) in differential_devices() {
         for seed in 0..3u64 {
             let qc = random_logical_circuit(device.num_qubits().min(9), 60, seed);
@@ -280,8 +410,8 @@ fn memoized_nassc_routes_like_the_unmemoized_scorer() {
                     flags,
                     emit: NasscPolicy::new(flags),
                 };
-                let fast = route(&qc, &device, seed, &mut memoized, &pool);
-                let slow = route(&qc, &device, seed, &mut reference, &ThreadPool::new(1));
+                let fast = route(&qc, &device, seed, &mut memoized);
+                let slow = route(&qc, &device, seed, &mut reference);
                 let label = format!("{name} seed {seed} flags {}", flags.label());
                 assert_eq!(
                     fast.circuit, slow.circuit,
@@ -312,16 +442,15 @@ fn memoized_nassc_routes_like_the_unmemoized_scorer() {
 /// the first route's entries) routes the second exactly like a fresh one.
 #[test]
 fn reused_nassc_policy_routes_like_fresh_policies() {
-    let pool = ThreadPool::new(2);
     for (name, device) in differential_devices() {
         let width = device.num_qubits().min(9);
         let first = random_logical_circuit(width, 60, 11);
         let second = random_logical_circuit(width, 60, 12);
         let mut reused = NasscPolicy::new(OptimizationFlags::all());
-        let reused_first = route(&first, &device, 11, &mut reused, &pool);
-        let reused_second = route(&second, &device, 12, &mut reused, &pool);
-        let fresh_first = route(&first, &device, 11, &mut NasscPolicy::default(), &pool);
-        let fresh_second = route(&second, &device, 12, &mut NasscPolicy::default(), &pool);
+        let reused_first = route(&first, &device, 11, &mut reused);
+        let reused_second = route(&second, &device, 12, &mut reused);
+        let fresh_first = route(&first, &device, 11, &mut NasscPolicy::default());
+        let fresh_second = route(&second, &device, 12, &mut NasscPolicy::default());
         for (reused, fresh, which) in [
             (&reused_first, &fresh_first, "first"),
             (&reused_second, &fresh_second, "second"),
