@@ -21,13 +21,16 @@
 //! NASSC's `total_bytes` over SABRE's on the largest Eagle row (the worst
 //! style at that size). Allocation totals move a few percent between runs,
 //! far less than timings, so a tight bound on the ratio catches a regression
-//! in NASSC's routing allocations without flaking:
+//! in NASSC's routing allocations without flaking. `nassc_sabre_time_ratio`
+//! is the same ratio over `transpile_ms`: both routers run the same layout
+//! search and passes, so it bounds what NASSC's Eq. 2 scoring costs on top
+//! of SABRE's:
 //!
 //! ```text
 //! bench_scale --max-qubits 127 --json BENCH_scale.json
 //! bench_gate BENCH_scale.json --max scale_mismatches 0 \
 //!     --max peak_alloc_mb 2048 --max total_transpile_seconds 900 \
-//!     --max nassc_sabre_alloc_ratio 1.5
+//!     --max nassc_sabre_alloc_ratio 1.5 --max nassc_sabre_time_ratio 1.5
 //! ```
 //!
 //! Flags: `--devices a,b,c` (any `Device::from_str` spec; default
@@ -97,8 +100,9 @@ fn main() {
     let mut mismatches = 0usize;
     let mut peak_alloc_mb = 0f64;
     let mut total_seconds = 0f64;
-    // (gates, NASSC/SABRE total bytes) of the Eagle rows.
-    let mut eagle_alloc_ratios: Vec<(usize, f64)> = Vec::new();
+    // (gates, NASSC/SABRE total bytes, NASSC/SABRE transpile time) of the
+    // Eagle rows.
+    let mut eagle_ratios: Vec<(usize, f64, f64)> = Vec::new();
 
     println!("== Scale sweep — devices {devices:?}, sizes {sizes:?}, styles {styles:?} ==");
     println!(
@@ -123,7 +127,7 @@ fn main() {
         for style in &styles {
             for &gates in &sizes {
                 let (generated, parsed) = workload(style, width, gates);
-                let mut sabre_total_bytes = 0;
+                let (mut sabre_total_bytes, mut sabre_seconds) = (0, 0.0);
                 if parsed != generated {
                     eprintln!("MISMATCH: {spec}/{style}{gates}: QASM round-trip diverged");
                     mismatches += 1;
@@ -181,9 +185,12 @@ fn main() {
                         ],
                     });
                     match router {
-                        "sabre" => sabre_total_bytes = total,
-                        _ if device.name() == "eagle" => eagle_alloc_ratios
-                            .push((gates, total as f64 / sabre_total_bytes as f64)),
+                        "sabre" => (sabre_total_bytes, sabre_seconds) = (total, elapsed),
+                        _ if device.name() == "eagle" => eagle_ratios.push((
+                            gates,
+                            total as f64 / sabre_total_bytes as f64,
+                            elapsed / sabre_seconds,
+                        )),
                         _ => {}
                     }
                     peak_alloc_mb = peak_alloc_mb.max(peak as f64 / MB);
@@ -199,17 +206,22 @@ fn main() {
         ("peak_alloc_mb".into(), peak_alloc_mb),
         ("total_transpile_seconds".into(), total_seconds),
     ];
-    let largest_eagle = eagle_alloc_ratios.iter().map(|&(gates, _)| gates).max();
+    let largest_eagle = eagle_ratios.iter().map(|&(gates, _, _)| gates).max();
     if let Some(largest) = largest_eagle {
-        let ratio = eagle_alloc_ratios
+        let largest_rows = eagle_ratios
             .iter()
-            .filter(|&&(gates, _)| gates == largest)
-            .map(|&(_, ratio)| ratio)
+            .filter(|&&(gates, _, _)| gates == largest);
+        let alloc_ratio = largest_rows
+            .clone()
+            .map(|&(_, ratio, _)| ratio)
             .fold(0.0, f64::max);
-        report
-            .summary
-            .push(("nassc_sabre_alloc_ratio".into(), ratio));
-        println!("NASSC/SABRE total allocation on the largest Eagle row: {ratio:.2}x");
+        let time_ratio = largest_rows.map(|&(_, _, ratio)| ratio).fold(0.0, f64::max);
+        report.summary.extend([
+            ("nassc_sabre_alloc_ratio".into(), alloc_ratio),
+            ("nassc_sabre_time_ratio".into(), time_ratio),
+        ]);
+        println!("NASSC/SABRE total allocation on the largest Eagle row: {alloc_ratio:.2}x");
+        println!("NASSC/SABRE transpile time on the largest Eagle row: {time_ratio:.2}x");
     }
     println!(
         "\nsummary: rows {} | mismatches {} | peak alloc {:.1} MB | transpile {:.1} s",

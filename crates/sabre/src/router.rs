@@ -120,15 +120,13 @@ impl LayerEndpoints {
             return self.pairs.iter().map(|&pair| weight_after(pair)).sum();
         }
         let mut sum = self.base;
-        for (qubit, priced) in [(p1, None), (p2, Some(p1))] {
+        for qubit in [p1, p2] {
             let mut slot = self.head[qubit as usize];
             while slot != NO_SLOT {
                 let (a, b) = self.pairs[slot as usize / 2];
-                // Skip the second side of a gate with both sides on
-                // `qubit`, and gates already repriced from `p1`'s list.
-                let repeat = slot % 2 == 1 && a == qubit;
-                let seen = priced.is_some_and(|p| a == p || b == p);
-                if !repeat && !seen {
+                // A gate on both swapped qubits is on `p1`'s list too;
+                // reprice it there only. (A gate's two qubits are distinct.)
+                if qubit == p1 || (a != p1 && b != p1) {
                     sum = sum - distances.weight(a as usize, b as usize) + weight_after((a, b));
                 }
                 slot = self.next[slot as usize];

@@ -31,20 +31,22 @@ const UNREACHABLE: u32 = u32::MAX;
 /// every integer is an exact `f64`.
 const MAX_INTEGRAL_WEIGHT: f64 = 4_294_967_296.0; // 2^32
 
-/// Whether `w` is an integer weight whose sums are exact: finite, whole,
-/// at most [`MAX_INTEGRAL_WEIGHT`] in magnitude, and not `-0.0` (whose sign
-/// an ordered sum can keep but a difference of sums cannot).
+/// Whether `w` is an integer weight whose sums are exact: whole, at most
+/// [`MAX_INTEGRAL_WEIGHT`] in magnitude (which rules out ∞ and NaN), and
+/// not `-0.0` (whose sign an ordered sum can keep but a difference of sums
+/// cannot). Within that bound the `i64` round trip is exact exactly for
+/// whole numbers, and cheaper than `fract`.
 fn is_integral_weight(w: f64) -> bool {
-    w.is_finite()
-        && w.fract() == 0.0
-        && w.abs() <= MAX_INTEGRAL_WEIGHT
-        && !(w == 0.0 && w.is_sign_negative())
+    w.abs() <= MAX_INTEGRAL_WEIGHT && (w as i64) as f64 == w && w.to_bits() != (-0.0f64).to_bits()
 }
 
 impl DistanceMatrix {
     /// Builds a matrix from BFS hop counts; weights default to the hop count.
     pub fn from_hops(n: usize, hops: Vec<usize>) -> Self {
         assert_eq!(hops.len(), n * n);
+        // Finite hops fit in u32 (`compact_hop` checks), so they are
+        // integral weights; only unreachable pairs (∞) are not.
+        let integral = !hops.contains(&usize::MAX);
         let weights = hops
             .iter()
             .map(|&h| {
@@ -56,7 +58,12 @@ impl DistanceMatrix {
             })
             .collect();
         let hops = hops.into_iter().map(Self::compact_hop).collect();
-        Self::assemble(n, hops, weights)
+        Self {
+            n,
+            hops,
+            weights,
+            integral,
+        }
     }
 
     /// Builds a matrix from explicit floating-point weights, deriving the hop
@@ -73,10 +80,6 @@ impl DistanceMatrix {
                 }
             })
             .collect();
-        Self::assemble(n, hops, weights)
-    }
-
-    fn assemble(n: usize, hops: Vec<u32>, weights: Vec<f64>) -> Self {
         let integral = weights.iter().all(|&w| is_integral_weight(w));
         Self {
             n,
@@ -116,9 +119,11 @@ impl DistanceMatrix {
     }
 
     /// Replaces the weighted view while keeping the hop view.
-    pub fn with_weights(self, weights: Vec<f64>) -> Self {
+    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
         assert_eq!(weights.len(), self.n * self.n);
-        Self::assemble(self.n, self.hops, weights)
+        self.integral = weights.iter().all(|&w| is_integral_weight(w));
+        self.weights = weights;
+        self
     }
 
     /// Whether every weight is a finite integer of magnitude at most 2³²
