@@ -27,9 +27,9 @@
 //!   the ordered rescan, the only bit-exact choice for those inputs;
 //! * candidates are scored serially, with the argmin taken in shuffled
 //!   candidate order (ties keep the first minimum). A step prices about a
-//!   hundred candidates at tens of nanoseconds each, far less than a
-//!   thread-pool dispatch costs; parallelism lives one level up, across
-//!   layout trials and batch jobs;
+//!   hundred candidates at roughly 0.1 µs each, so a thread-pool dispatch
+//!   per step costs more than it saves; parallelism lives one level up,
+//!   across layout trials and batch jobs;
 //! * all per-step buffers (front layer, extended set, candidate edges,
 //!   endpoint index) are reused scratch owned by the routing loop.
 
@@ -224,8 +224,9 @@ pub struct RoutingContext<'a> {
 impl<'a> RoutingContext<'a> {
     /// Builds a context over an explicitly prepared [`StepEndpoints`]
     /// (`endpoints.prepare` must have been called with the same
-    /// `front`/`extended`/`layout`/`distances`). The router does this once per step;
-    /// exposed so tests and embedders can score candidates directly.
+    /// `front`/`extended`/`layout`/`distances`). The router does this once
+    /// per step; exposed so tests and embedders can score candidates
+    /// directly.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         coupling: &'a CouplingMap,

@@ -2,10 +2,11 @@
 //! index and the delta-priced (base-sum, zero-clone) scoring helpers agree
 //! *exactly* — same booleans, same float bits — with the full-recompute
 //! reference implementations, on random circuits, random push/pop
-//! histories, every qubit pair, and hop-count, noise-aware (fractional) and
-//! disconnected (∞) distance matrices. `SabrePolicy` routes exactly like a
-//! scorer that clones the layout per candidate, and `NasscPolicy`'s
-//! memoized `C_2q` routes exactly like an unmemoized scorer.
+//! histories, every qubit pair, and hop-count, asymmetric integer,
+//! noise-aware (fractional) and disconnected (∞) distance matrices.
+//! `SabrePolicy` routes exactly like a scorer that clones the layout per
+//! candidate, and `NasscPolicy`'s memoized `C_2q` routes exactly like an
+//! unmemoized scorer.
 
 use proptest::prelude::*;
 
@@ -239,6 +240,27 @@ proptest! {
         let calibration = Calibration::synthetic(&device, calibration_seed);
         let distances = noise_aware_distance(&device, &calibration, NoiseAwareAlphas::default());
         prop_assert!(!distances.integral_weights());
+        check_after_swap_distances(&ops, layout_seed, &device, &distances);
+    }
+
+    /// Delta pricing stays bitwise exact on an asymmetric integer matrix,
+    /// where a gate on both swapped qubits changes weight (`w(a, b)` to
+    /// `w(b, a)`) and must be repriced exactly once.
+    #[test]
+    fn after_swap_distances_match_layout_clones_on_asymmetric_integer_weights(
+        ops in proptest::collection::vec((4u8..6, 0usize..WIDTH, 0usize..WIDTH, 0.0f64..1.0), 1..25),
+        layout_seed in 0u64..1000,
+    ) {
+        let device = CouplingMap::linear(WIDTH);
+        let hops = device.distance_matrix();
+        let weights = (0..WIDTH * WIDTH)
+            .map(|i| {
+                let (a, b) = (i / WIDTH, i % WIDTH);
+                (2 * hops.hops(a, b) + usize::from(a < b)) as f64
+            })
+            .collect();
+        let distances = DistanceMatrix::from_weights(WIDTH, weights);
+        prop_assert!(distances.integral_weights());
         check_after_swap_distances(&ops, layout_seed, &device, &distances);
     }
 
